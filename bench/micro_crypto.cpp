@@ -9,6 +9,7 @@
 #include "common/rng.hpp"
 #include "crypto/der.hpp"
 #include "crypto/ecdsa.hpp"
+#include "crypto_oracles.hpp"
 
 namespace {
 
@@ -95,15 +96,6 @@ void BM_ScalarMultNaive(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ScalarMultNaive);
-
-void BM_ScalarMultWnaf(benchmark::State& state) {
-  const AffinePoint q = key_from_seed(to_bytes("sm")).public_key().point;
-  const U256 k = mod(U256::from_bytes_be(Rng(5).bytes(32)), p256_n());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(scalar_mult_wnaf(k, q));
-  }
-}
-BENCHMARK(BM_ScalarMultWnaf);
 
 void BM_BaseMultComb(benchmark::State& state) {
   const U256 k = mod(U256::from_bytes_be(Rng(6).bytes(32)), p256_n());

@@ -328,34 +328,6 @@ U256 reduce_mod_n(const U256& k) {
 
 }  // namespace
 
-JacobianPoint scalar_mult_naive(const U256& k, const AffinePoint& p) {
-  JacobianPoint acc{};
-  const JacobianPoint base = to_jacobian(p);
-  const int top = k.top_bit();
-  for (int i = top; i >= 0; --i) {
-    acc = point_double(acc);
-    if (k.bit(i)) acc = point_add(acc, base);
-  }
-  return acc;
-}
-
-JacobianPoint scalar_mult_wnaf(const U256& k, const AffinePoint& p) {
-  const U256 kr = reduce_mod_n(k);
-  if (kr.is_zero() || p.infinity) return JacobianPoint{};
-  std::int8_t digits[257];
-  const int len = wnaf_digits(kr, kWnafWidth, digits);
-  const std::vector<JacobianPoint> tbl = odd_multiples(p, kWnafWidth);
-  JacobianPoint acc{};
-  for (int i = len - 1; i >= 0; --i) {
-    acc = point_double(acc);
-    const int d = digits[i];
-    if (d > 0) acc = point_add(acc, tbl[static_cast<std::size_t>(d / 2)]);
-    else if (d < 0)
-      acc = point_add(acc, jac_negate(tbl[static_cast<std::size_t>(-d / 2)]));
-  }
-  return acc;
-}
-
 JacobianPoint base_mult(const U256& k) {
   const U256 kr = reduce_mod_n(k);
   if (kr.is_zero()) return JacobianPoint{};
@@ -404,11 +376,6 @@ JacobianPoint double_scalar_mult_comb(const U256& u1, const U256& u2,
     if (d2 != 0) acc = point_add_affine(acc, q.entry(d2));
   }
   return acc;
-}
-
-JacobianPoint scalar_mult(const U256& k, const AffinePoint& p) {
-  if (!p.infinity && p.x == kG.x && p.y == kG.y) return base_mult(k);
-  return scalar_mult_wnaf(k, p);
 }
 
 JacobianPoint double_scalar_mult(const U256& u1, const U256& u2,

@@ -57,19 +57,6 @@ JacobianPoint point_add_affine(const JacobianPoint& p, const AffinePoint& q);
 /// simultaneous-inversion trick); used to build the fixed-base tables.
 std::vector<AffinePoint> batch_to_affine(const std::vector<JacobianPoint>& pts);
 
-/// k * P. Dispatches to the fixed-base comb when P is the generator and to
-/// width-5 wNAF otherwise. Since every finite curve point has order n
-/// (cofactor 1), k is first reduced mod n; the result equals the naive
-/// double-and-add for any k.
-JacobianPoint scalar_mult(const U256& k, const AffinePoint& p);
-
-/// k * P by left-to-right double-and-add; retained as the differential
-/// oracle for the fast paths.
-JacobianPoint scalar_mult_naive(const U256& k, const AffinePoint& p);
-
-/// k * P by width-5 wNAF with a per-call odd-multiples table.
-JacobianPoint scalar_mult_wnaf(const U256& k, const AffinePoint& p);
-
 /// k * G via the precomputed fixed-base comb table (8 teeth x 32 columns):
 /// 31 doublings + <= 32 mixed additions. The signing hot path.
 JacobianPoint base_mult(const U256& k);
@@ -93,8 +80,9 @@ class PointCombTable {
 
   const AffinePoint& point() const { return point_; }
 
-  /// k * P via the comb: 31 doublings + <= 32 mixed additions (reduces k
-  /// mod n first, like scalar_mult).
+  /// k * P via the comb: 31 doublings + <= 32 mixed additions. Every
+  /// finite curve point has order n (cofactor 1), so k is reduced mod n
+  /// first.
   JacobianPoint mult(const U256& k) const;
 
   /// Comb entry d (1..255): sum over set bits t of d of 2^(32t) * P.

@@ -112,35 +112,6 @@ U512 mul_wide(const U256& a, const U256& b) {
   return r;
 }
 
-namespace {
-
-bool u512_bit(const U512& a, int i) {
-  return (a.w[i / 64] >> (i % 64)) & 1;
-}
-
-int u512_top_bit(const U512& a) {
-  for (int limb = 7; limb >= 0; --limb)
-    if (a.w[limb] != 0) return limb * 64 + 63 - __builtin_clzll(a.w[limb]);
-  return -1;
-}
-
-}  // namespace
-
-U256 mod_bitwise(const U512& a, const U256& m) {
-  assert(!m.is_zero());
-  U256 r;
-  const int top = u512_top_bit(a);
-  for (int i = top; i >= 0; --i) {
-    // r = 2r + bit; the transient value fits in 257 bits tracked by `hi`.
-    const bool hi = (r.w[3] >> 63) & 1;
-    for (int limb = 3; limb > 0; --limb)
-      r.w[limb] = (r.w[limb] << 1) | (r.w[limb - 1] >> 63);
-    r.w[0] = (r.w[0] << 1) | (u512_bit(a, i) ? 1u : 0u);
-    if (hi || cmp(r, m) >= 0) sub(r, r, m);
-  }
-  return r;
-}
-
 U256 mod(const U512& a, const U256& m) {
   assert(!m.is_zero());
   int k = 4;

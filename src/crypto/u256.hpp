@@ -51,10 +51,6 @@ U512 mul_wide(const U256& a, const U256& b);
 /// with 64-bit digits); m must be non-zero.
 U256 mod(const U512& a, const U256& m);
 
-/// Reference bit-by-bit long division. ~60x slower than mod(); retained as
-/// the differential-testing oracle for the limb-wise path.
-U256 mod_bitwise(const U512& a, const U256& m);
-
 /// Reduce a 256-bit value mod m (single conditional subtract path).
 U256 mod(const U256& a, const U256& m);
 

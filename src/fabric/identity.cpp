@@ -225,13 +225,9 @@ std::vector<std::string> Msp::org_names() const {
 }
 
 bool Msp::validate(const Certificate& cert) const {
-  std::string key;
-  key.reserve(cert.issuer_cn.size() + cert.subject_cn.size() + 20);
-  key += cert.issuer_cn;
-  key += '|';
-  key += cert.subject_cn;
-  key += '|';
-  key.append(cert.serial.begin(), cert.serial.end());
+  // Keyed on the whole certificate: a copy of a validated cert with any
+  // field changed (a swapped public key, say) must miss and be checked.
+  const crypto::Digest key = crypto::sha256(cert.marshal());
   {
     std::lock_guard<std::mutex> lock(cache_mutex_);
     if (const auto it = validation_cache_.find(key);

@@ -140,12 +140,12 @@ class Msp {
  private:
   std::vector<std::unique_ptr<CertificateAuthority>> orgs_;
   std::map<std::string, std::size_t> by_name_;
-  /// Validation results keyed by (issuer, subject, serial) — Fabric peers
-  /// likewise cache deserialized/validated identities. Guarded by
-  /// cache_mutex_; concurrent misses may verify the same chain twice, which
-  /// is deterministic (both compute the same value).
+  /// Validation results keyed by the SHA-256 of the marshaled certificate
+  /// — Fabric peers likewise cache deserialized/validated identities.
+  /// Guarded by cache_mutex_; concurrent misses may verify the same chain
+  /// twice, which is deterministic (both compute the same value).
   mutable std::mutex cache_mutex_;
-  mutable std::map<std::string, bool> validation_cache_;
+  mutable std::map<crypto::Digest, bool> validation_cache_;
 };
 
 }  // namespace bm::fabric

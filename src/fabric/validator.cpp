@@ -24,7 +24,10 @@ unsigned resolve_parallelism(unsigned requested) {
 SoftwareValidator::SoftwareValidator(
     const Msp& msp, std::map<std::string, EndorsementPolicy> policies,
     unsigned parallelism)
-    : msp_(msp), policies_(std::move(policies)) {
+    : msp_(msp),
+      policies_(std::move(policies)),
+      comb_tables_(std::make_unique<crypto::CombCache>(
+          crypto::CombCache::kDefaultTables)) {
   set_parallelism(parallelism);
 }
 
@@ -36,38 +39,25 @@ void SoftwareValidator::set_parallelism(unsigned parallelism) {
     pool_.reset();
 }
 
-void SoftwareValidator::enable_verify_cache(std::size_t capacity) {
-  verify_cache_ =
-      capacity > 0 ? std::make_shared<crypto::VerifyCache>(capacity) : nullptr;
-}
-
-void SoftwareValidator::set_verify_cache(
-    std::shared_ptr<crypto::VerifyCache> cache) {
-  verify_cache_ = std::move(cache);
-}
-
-void SoftwareValidator::enable_comb_cache(std::size_t tables) {
-  comb_cache_ =
-      tables > 0 ? std::make_shared<crypto::CombCache>(tables) : nullptr;
-}
-
-void SoftwareValidator::set_comb_cache(
-    std::shared_ptr<crypto::CombCache> cache) {
-  comb_cache_ = std::move(cache);
+bool SoftwareValidator::signed_by(const Certificate& cert, ByteView der_sig,
+                                  const crypto::Digest& digest,
+                                  std::uint64_t& checks) const {
+  if (!msp_.validate(cert)) return false;
+  const auto sig = crypto::der_decode_signature(der_sig);
+  if (!sig) return false;
+  ++checks;
+  return comb_tables_->verify(cert.public_key, digest, *sig);
 }
 
 bool SoftwareValidator::verify_block_signature(const Block& block) {
+  // Counted up front: a block check costs its slot whatever the outcome.
   ++stats_.block_signature_checks;
+  std::uint64_t checks = 0;
   const auto cert = Certificate::unmarshal(block.metadata.orderer_cert);
-  if (!cert || cert->role != Role::kOrderer || !msp_.validate(*cert))
+  if (!cert || cert->role != Role::kOrderer ||
+      !signed_by(*cert, block.metadata.orderer_sig, block.signing_digest(),
+                 checks))
     return false;
-  const auto sig = crypto::der_decode_signature(block.metadata.orderer_sig);
-  if (!sig) return false;
-  const crypto::Digest digest = block.signing_digest();
-  const bool ok = comb_cache_ != nullptr
-                      ? comb_cache_->verify(cert->public_key, digest, *sig)
-                      : crypto::verify(cert->public_key, digest, *sig);
-  if (!ok) return false;
   // Retrieving block data also re-checks the data hash.
   return equal(block.header.data_hash,
                crypto::digest_view(block.compute_data_hash()));
@@ -76,21 +66,11 @@ bool SoftwareValidator::verify_block_signature(const Block& block) {
 TxValidationCode SoftwareValidator::validate_transaction(
     const ParsedTransaction& tx, ValidationStats& stats) const {
   // Step 2a: transaction verification — creator identity and signature.
-  // Creator payloads are unique per transaction (tx id), so the verify
-  // cache never hits here — but the creator's KEY repeats constantly, which
-  // is exactly what the per-identity comb tables amortize.
-  if (!msp_.validate(tx.creator)) return TxValidationCode::kBadCreatorSignature;
-  const auto creator_sig = crypto::der_decode_signature(tx.signature);
-  if (!creator_sig) return TxValidationCode::kBadCreatorSignature;
-  ++stats.creator_signature_checks;
-  const crypto::Digest payload_digest = crypto::sha256(tx.payload_bytes);
-  const bool creator_ok =
-      comb_cache_ != nullptr
-          ? comb_cache_->verify(tx.creator.public_key, payload_digest,
-                                *creator_sig)
-          : crypto::verify(tx.creator.public_key, payload_digest,
-                           *creator_sig);
-  if (!creator_ok) return TxValidationCode::kBadCreatorSignature;
+  // The creator's key repeats across transactions, which is what the
+  // per-identity comb tables amortize.
+  if (!signed_by(tx.creator, tx.signature, crypto::sha256(tx.payload_bytes),
+                 stats.creator_signature_checks))
+    return TxValidationCode::kBadCreatorSignature;
 
   // Step 2b: vscc — verify endorsements, then evaluate the policy.
   const auto policy_it = policies_.find(tx.chaincode_id);
@@ -103,26 +83,10 @@ TxValidationCode SoftwareValidator::validate_transaction(
   const EndorsementDigester digester(tx.chaincode_id, tx.rwset_bytes);
   std::vector<EncodedId> valid_endorsers;
   for (const auto& endorsement : tx.endorsements) {
-    if (!msp_.validate(endorsement.cert)) continue;
-    const auto sig = crypto::der_decode_signature(endorsement.signature);
-    if (!sig) continue;
-    ++stats.endorsement_signature_checks;
-    const crypto::Digest digest = digester.digest(endorsement.cert_bytes);
-    // The memoized path keys on (public key, digest, DER bytes) — the full
-    // verification input — so flags are identical with the cache attached;
-    // cache misses (and the uncached path) run through the per-identity
-    // comb tables when those are enabled.
-    bool ok;
-    if (verify_cache_ != nullptr) {
-      ok = verify_cache_->verify(endorsement.cert.public_key, digest,
-                                 endorsement.signature, *sig,
-                                 comb_cache_.get());
-    } else if (comb_cache_ != nullptr) {
-      ok = comb_cache_->verify(endorsement.cert.public_key, digest, *sig);
-    } else {
-      ok = crypto::verify(endorsement.cert.public_key, digest, *sig);
-    }
-    if (!ok) continue;
+    if (!signed_by(endorsement.cert, endorsement.signature,
+                   digester.digest(endorsement.cert_bytes),
+                   stats.endorsement_signature_checks))
+      continue;
     if (const auto id = msp_.encode(endorsement.cert))
       valid_endorsers.push_back(*id);
   }
@@ -166,7 +130,7 @@ void SoftwareValidator::run_mvcc_waves(
       }
       if (conflict) flags[i] = TxValidationCode::kMvccReadConflict;
     };
-    if (wave.size() > 1) {
+    if (pool_ != nullptr && wave.size() > 1) {
       pool_->parallel_for(wave.size(), decide);
     } else {
       for (std::size_t w = 0; w < wave.size(); ++w) decide(w);
@@ -220,37 +184,7 @@ BlockValidationResult SoftwareValidator::validate_and_commit(
 
   // Step 3: mvcc. Reads must match the committed state, and keys written by
   // an earlier valid transaction of this block invalidate later readers.
-  // The dependency-aware path decides independent transactions in parallel
-  // waves; the default walks transactions sequentially in order. Both
-  // produce byte-identical flags (differential-tested).
-  if (parallel_commit_ && pool_ != nullptr) {
-    run_mvcc_waves(block, parsed, db, result.flags);
-  } else {
-    std::map<std::string, Version> pending_writes;
-    for (std::size_t i = 0; i < block.tx_count(); ++i) {
-      if (result.flags[i] != TxValidationCode::kValid) continue;
-      const ParsedTransaction& tx = parsed[i];
-      bool conflict = false;
-      for (const KVRead& read : tx.rwset.reads) {
-        ++stats_.db_reads;
-        const std::string key = StateDb::namespaced(tx.chaincode_id, read.key);
-        if (pending_writes.count(key) != 0 ||
-            !db.version_matches(KVRead{key, read.version})) {
-          conflict = true;
-          break;
-        }
-      }
-      if (conflict) {
-        result.flags[i] = TxValidationCode::kMvccReadConflict;
-        continue;
-      }
-      const Version version{block.header.number,
-                            static_cast<std::uint32_t>(i)};
-      for (const KVWrite& write : tx.rwset.writes)
-        pending_writes[StateDb::namespaced(tx.chaincode_id, write.key)] =
-            version;
-    }
-  }
+  run_mvcc_waves(block, parsed, db, result.flags);
 
   // Step 4: commit — the block's whole write-set goes into one shard-grouped
   // batch applied with a single lock grab per touched shard (in parallel
@@ -300,65 +234,41 @@ void SoftwareValidator::publish_metrics(obs::Registry& registry,
       .set(stats_.db_writes);
   registry.counter(prefix + "_envelopes_parsed_total", "envelopes unmarshaled")
       .set(stats_.envelopes_parsed);
-  if (parallel_commit_) {
-    registry
-        .counter(prefix + "_commit_waves_total",
-                 "dependency waves scheduled by the parallel commit path")
-        .set(stats_.commit_waves);
-    registry
-        .counter(prefix + "_commit_deps_total",
-                 "rw-set dependencies that forced commit ordering")
-        .set(stats_.commit_deps);
-    registry
-        .gauge(prefix + "_deps_per_block",
-               "mean rw-set dependencies per processed block")
-        .set(stats_.blocks_processed > 0
-                 ? static_cast<double>(stats_.commit_deps) /
-                       static_cast<double>(stats_.blocks_processed)
-                 : 0.0);
-  }
-  if (comb_cache_ != nullptr) {
-    registry
-        .counter(prefix + "_comb_table_hits_total",
-                 "verifications run over a cached per-identity comb table")
-        .set(comb_cache_->hits());
-    registry
-        .counter(prefix + "_comb_table_misses_total",
-                 "per-identity comb tables built on first sight of a key")
-        .set(comb_cache_->misses());
-    registry
-        .counter(prefix + "_comb_table_evictions_total",
-                 "comb-table LRU evictions (budget pressure)")
-        .set(comb_cache_->evictions());
-    registry
-        .gauge(prefix + "_comb_table_capacity",
-               "per-identity comb tables the cache can hold")
-        .set(static_cast<double>(comb_cache_->capacity()));
-    registry
-        .gauge(prefix + "_comb_table_entries",
-               "per-identity comb tables held")
-        .set(static_cast<double>(comb_cache_->size()));
-  }
-  if (verify_cache_ != nullptr) {
-    registry
-        .counter(prefix + "_verify_cache_hits_total",
-                 "endorsement verifications answered from the cache")
-        .set(verify_cache_->hits());
-    registry
-        .counter(prefix + "_verify_cache_misses_total",
-                 "endorsement verifications computed and memoized")
-        .set(verify_cache_->misses());
-    registry
-        .counter(prefix + "_verify_cache_evictions_total",
-                 "verify-cache LRU evictions")
-        .set(verify_cache_->evictions());
-    registry
-        .gauge(prefix + "_verify_cache_capacity",
-               "verify-cache entry capacity")
-        .set(static_cast<double>(verify_cache_->capacity()));
-    registry.gauge(prefix + "_verify_cache_entries", "verify-cache fill")
-        .set(static_cast<double>(verify_cache_->size()));
-  }
+  registry
+      .counter(prefix + "_commit_waves_total",
+               "dependency waves scheduled by the mvcc step")
+      .set(stats_.commit_waves);
+  registry
+      .counter(prefix + "_commit_deps_total",
+               "rw-set dependencies that forced commit ordering")
+      .set(stats_.commit_deps);
+  registry
+      .gauge(prefix + "_deps_per_block",
+             "mean rw-set dependencies per processed block")
+      .set(stats_.blocks_processed > 0
+               ? static_cast<double>(stats_.commit_deps) /
+                     static_cast<double>(stats_.blocks_processed)
+               : 0.0);
+  registry
+      .counter(prefix + "_comb_table_hits_total",
+               "verifications run over a cached per-identity comb table")
+      .set(comb_tables_->hits());
+  registry
+      .counter(prefix + "_comb_table_misses_total",
+               "per-identity comb tables built on first sight of a key")
+      .set(comb_tables_->misses());
+  registry
+      .counter(prefix + "_comb_table_evictions_total",
+               "comb-table LRU evictions (budget pressure)")
+      .set(comb_tables_->evictions());
+  registry
+      .gauge(prefix + "_comb_table_capacity",
+             "per-identity comb tables the cache can hold")
+      .set(static_cast<double>(comb_tables_->capacity()));
+  registry
+      .gauge(prefix + "_comb_table_entries",
+             "per-identity comb tables held")
+      .set(static_cast<double>(comb_tables_->size()));
 }
 
 }  // namespace bm::fabric

@@ -6,9 +6,10 @@
 //     ("Fabric implementation always verifies all the endorsements of a
 //     transaction, irrespective of the policy", §4.3) — the contrast to the
 //     hardware short-circuit evaluator in Fig. 7e;
-//   - mvcc runs sequentially over transactions in order, comparing read-set
-//     versions against committed state and against earlier valid
-//     transactions of the same block;
+//   - mvcc compares read-set versions against committed state and against
+//     earlier valid transactions of the same block, deciding independent
+//     transactions together in rw-set dependency waves (the flags equal an
+//     in-order walk's);
 //   - commit applies write sets at version {block, tx} and appends the
 //     flagged block to the ledger.
 // Instrumentation counters feed the calibrated timing model used by the
@@ -20,7 +21,6 @@
 
 #include "common/thread_pool.hpp"
 #include "crypto/comb_cache.hpp"
-#include "crypto/verify_cache.hpp"
 #include "fabric/ledger.hpp"
 #include "fabric/policy.hpp"
 #include "fabric/statedb.hpp"
@@ -38,8 +38,8 @@ struct ValidationStats {
   std::uint64_t db_reads = 0;
   std::uint64_t db_writes = 0;
   std::uint64_t envelopes_parsed = 0;
-  /// Dependency-aware commit only (zero on the sequential path): waves the
-  /// scheduler emitted, and rw-set dependencies that forced ordering.
+  /// Waves the mvcc scheduler emitted, and rw-set dependencies that forced
+  /// ordering.
   std::uint64_t commit_waves = 0;
   std::uint64_t commit_deps = 0;
 
@@ -75,11 +75,11 @@ class SoftwareValidator final : public ValidatorBackend {
   /// chaincode has no registered policy are marked invalid.
   ///
   /// `parallelism` is the number of threads used for per-transaction
-  /// verification + vscc (step 2): 1 = sequential, 0 = read the
-  /// BM_VALIDATOR_THREADS environment variable (default 1). Validation flags,
-  /// commit order, stats, and the calibrated DES timing derived from them are
-  /// byte-identical to the sequential path at any setting — only wall-clock
-  /// time changes.
+  /// verification + vscc (step 2), the mvcc waves (step 3) and the batch
+  /// commit (step 4): 1 = sequential, 0 = read the BM_VALIDATOR_THREADS
+  /// environment variable (default 1). Validation flags, commit order,
+  /// stats, and the calibrated DES timing derived from them are
+  /// byte-identical at any setting — only wall-clock time changes.
   SoftwareValidator(const Msp& msp,
                     std::map<std::string, EndorsementPolicy> policies,
                     unsigned parallelism = 0);
@@ -87,34 +87,6 @@ class SoftwareValidator final : public ValidatorBackend {
   /// Reconfigure the worker pool; same semantics as the constructor arg.
   void set_parallelism(unsigned parallelism);
   unsigned parallelism() const { return pool_ ? pool_->concurrency() : 1; }
-
-  /// Attach a fresh endorsement-verification cache (capacity 0 detaches).
-  /// Flags, commit hashes, and stats are identical with or without it —
-  /// only repeated verifications get cheaper.
-  void enable_verify_cache(
-      std::size_t capacity = crypto::VerifyCache::kDefaultCapacity);
-  /// Share an existing cache (e.g. across several validators). Null detaches.
-  void set_verify_cache(std::shared_ptr<crypto::VerifyCache> cache);
-  const crypto::VerifyCache* verify_cache() const {
-    return verify_cache_.get();
-  }
-
-  /// Attach a fresh per-identity comb-table cache holding up to `tables`
-  /// tables (0 detaches). Hot endorser/creator keys then verify through two
-  /// comb lookups per column instead of the generic double-scalar multiply;
-  /// flags, commit hashes, and stats are identical either way.
-  void enable_comb_cache(std::size_t tables = crypto::CombCache::kDefaultTables);
-  /// Share an existing comb cache (endorsers repeat across validators too).
-  void set_comb_cache(std::shared_ptr<crypto::CombCache> cache);
-  const crypto::CombCache* comb_cache() const { return comb_cache_.get(); }
-
-  /// Dependency-aware parallel commit: schedule mvcc verdicts by rw-set
-  /// dependency waves across the worker pool and commit out of order
-  /// (sequential when no pool is configured). Flags, version stamps, and
-  /// the commit hash are byte-identical to the in-order path — the
-  /// sequential commit hash is the equivalence oracle.
-  void set_parallel_commit(bool enabled) { parallel_commit_ = enabled; }
-  bool parallel_commit() const { return parallel_commit_; }
 
   /// Run the full pipeline on one block, mutating the state DB and ledger.
   BlockValidationResult validate_and_commit(const Block& block, StateDb& db,
@@ -124,21 +96,25 @@ class SoftwareValidator final : public ValidatorBackend {
   const ValidationStats& stats() const override { return stats_; }
   void reset_stats() override { stats_ = ValidationStats{}; }
 
-  /// Publish the lifetime ValidationStats (plus verify-cache hit/miss
-  /// counters when a cache is attached) as counters under "<prefix>_..."
-  /// (snapshot-style, idempotent).
+  /// Publish the lifetime ValidationStats plus the comb-table counters as
+  /// "<prefix>_..." metrics (snapshot-style, idempotent).
   void publish_metrics(obs::Registry& registry,
                        const std::string& prefix) const override;
 
  private:
+  /// The one signature check: `cert` chains to a registered CA and
+  /// `der_sig` is its signature over `digest`, verified through the comb
+  /// tables. `checks` counts the ECDSA verifications actually run.
+  bool signed_by(const Certificate& cert, ByteView der_sig,
+                 const crypto::Digest& digest, std::uint64_t& checks) const;
   bool verify_block_signature(const Block& block);
   /// Pure with respect to the validator: counters accumulate into `stats`
   /// so the parallel path can aggregate per-transaction deltas in tx order.
   TxValidationCode validate_transaction(const ParsedTransaction& tx,
                                         ValidationStats& stats) const;
 
-  /// Step 3 for the parallel-commit path: wave-scheduled mvcc verdicts,
-  /// byte-identical flags to the sequential walk.
+  /// Step 3: wave-scheduled mvcc verdicts. Each wave runs across the pool,
+  /// or inline when there is none; flags match an in-order walk exactly.
   void run_mvcc_waves(const Block& block,
                       const std::vector<ParsedTransaction>& parsed,
                       StateDb& db, std::vector<TxValidationCode>& flags);
@@ -147,9 +123,8 @@ class SoftwareValidator final : public ValidatorBackend {
   std::map<std::string, EndorsementPolicy> policies_;
   ValidationStats stats_;
   std::unique_ptr<ThreadPool> pool_;  ///< null when sequential
-  std::shared_ptr<crypto::VerifyCache> verify_cache_;  ///< null = uncached
-  std::shared_ptr<crypto::CombCache> comb_cache_;  ///< null = generic mults
-  bool parallel_commit_ = false;
+  /// Per-identity comb tables: every signature check verifies through them.
+  std::unique_ptr<crypto::CombCache> comb_tables_;
 };
 
 }  // namespace bm::fabric

@@ -1,15 +1,14 @@
 // ValidatorBackend: the seam between "something that validates and commits
 // blocks" and everything that drives one.
 //
-// The commit path has grown several interchangeable implementations — the
-// pure-software pipeline (SoftwareValidator, with or without the
-// endorsement-verification cache and parallel vscc), and the BMac peer's
-// shadow validator used while the accelerator is degraded. Harnesses,
-// benches, and the simulator only ever need the four operations below, so
-// they take this interface and a factory instead of a concrete class:
-// swapping backends is a one-line change at the call site, and equivalence
-// ("identical flags and commit hashes through every backend") is testable
-// by construction.
+// The commit path has two interchangeable implementations — the
+// pure-software pipeline (SoftwareValidator, at any parallelism), and the
+// BMac peer's shadow validator used while the accelerator is degraded.
+// Harnesses, benches, and the simulator only ever need the four operations
+// below, so they take this interface and a factory instead of a concrete
+// class: swapping backends is a one-line change at the call site, and
+// equivalence ("identical flags and commit hashes through every backend")
+// is testable by construction.
 #pragma once
 
 #include <functional>
@@ -57,18 +56,9 @@ using ValidatorBackendFactory = std::function<std::unique_ptr<ValidatorBackend>(
     const Msp& msp, std::map<std::string, EndorsementPolicy> policies)>;
 
 struct SoftwareBackendOptions {
-  /// Step-2 worker threads: 1 = sequential, 0 = BM_VALIDATOR_THREADS env.
+  /// Worker threads for verification, mvcc waves and the batch commit:
+  /// 1 = sequential, 0 = BM_VALIDATOR_THREADS env.
   unsigned parallelism = 0;
-  /// Memoize endorsement verifications; 0 disables the cache.
-  std::size_t verify_cache_capacity = 0;
-  /// Per-identity comb-table budget (tables held, ~16 KiB each); 0 disables.
-  /// Hot endorser/creator keys then verify through two comb lookups per
-  /// column instead of the generic double-scalar multiply.
-  std::size_t comb_table_capacity = 0;
-  /// Dependency-aware parallel commit: decide mvcc verdicts in rw-set
-  /// dependency waves across the worker pool and commit out of order.
-  /// Commit hashes stay byte-identical to the sequential path.
-  bool parallel_commit = false;
 };
 
 /// The default backend: a SoftwareValidator with the given options.

@@ -3,6 +3,7 @@
 #include "common/rng.hpp"
 #include "crypto/p256.hpp"
 #include "crypto/u256.hpp"
+#include "crypto_oracles.hpp"
 
 namespace bm::crypto {
 namespace {

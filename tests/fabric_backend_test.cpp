@@ -1,109 +1,20 @@
-// ValidatorBackend seam tests: every software backend configuration (cache
-// on/off, any parallelism, any StateDb shard count) must produce
-// byte-identical validation flags and commit hashes — the cache and the
-// sharding are throughput knobs, never semantics. Plus adversarial coverage
-// for the VerifyCache itself: its key must commit to ALL inputs of a
-// verification, so replaying valid signature bytes against a different
-// digest can never be served from the cache.
+// ValidatorBackend seam tests: every software backend configuration (any
+// parallelism, any StateDb shard count) must produce byte-identical
+// validation flags and commit hashes — threads and sharding are throughput
+// knobs, never semantics.
 #include <gtest/gtest.h>
 
 #include <deque>
 
 #include "common/thread_pool.hpp"
-#include "crypto/der.hpp"
-#include "crypto/verify_cache.hpp"
 #include "fabric/orderer.hpp"
 #include "fabric/statedb.hpp"
 #include "fabric/validator.hpp"
 #include "fabric/validator_backend.hpp"
+#include "obs/metrics.hpp"
 
 namespace bm::fabric {
 namespace {
-
-// ---------------------------------------------------------------------------
-// VerifyCache: adversarial key-separation and accounting.
-
-crypto::Digest digest_of(const std::string& s) {
-  return crypto::sha256(to_bytes(s));
-}
-
-TEST(VerifyCache, RepeatHitsAfterFirstMiss) {
-  crypto::VerifyCache cache(16);
-  const auto key = crypto::key_from_seed(to_bytes("endorser"));
-  const auto digest = digest_of("payload");
-  const auto sig = crypto::sign(key, digest);
-  const Bytes der = crypto::der_encode_signature(sig);
-
-  EXPECT_TRUE(cache.verify(key.public_key(), digest, der, sig));
-  EXPECT_EQ(cache.misses(), 1u);
-  EXPECT_EQ(cache.hits(), 0u);
-
-  EXPECT_TRUE(cache.verify(key.public_key(), digest, der, sig));
-  EXPECT_EQ(cache.misses(), 1u);
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.size(), 1u);
-}
-
-TEST(VerifyCache, SameSignatureBytesOverDifferentDigestMissesAndFails) {
-  // The adversarial replay: a perfectly valid signature over digest A,
-  // presented as covering digest B. A cache keyed only on signature bytes
-  // would hit the cached `true`; ours must miss and fail.
-  crypto::VerifyCache cache(16);
-  const auto key = crypto::key_from_seed(to_bytes("endorser"));
-  const auto good = digest_of("the endorsed payload");
-  const auto evil = digest_of("a different payload");
-  const auto sig = crypto::sign(key, good);
-  const Bytes der = crypto::der_encode_signature(sig);
-
-  ASSERT_TRUE(cache.verify(key.public_key(), good, der, sig));
-  EXPECT_FALSE(cache.verify(key.public_key(), evil, der, sig));
-  EXPECT_EQ(cache.misses(), 2u) << "replay must not be served from cache";
-  EXPECT_EQ(cache.hits(), 0u);
-
-  // The negative outcome is itself cached — and stays negative.
-  EXPECT_FALSE(cache.verify(key.public_key(), evil, der, sig));
-  EXPECT_EQ(cache.hits(), 1u);
-  // The original entry is untouched by the failed replay.
-  EXPECT_TRUE(cache.verify(key.public_key(), good, der, sig));
-}
-
-TEST(VerifyCache, SameDigestUnderDifferentKeyMisses) {
-  crypto::VerifyCache cache(16);
-  const auto alice = crypto::key_from_seed(to_bytes("alice"));
-  const auto mallory = crypto::key_from_seed(to_bytes("mallory"));
-  const auto digest = digest_of("payload");
-  const auto sig = crypto::sign(alice, digest);
-  const Bytes der = crypto::der_encode_signature(sig);
-
-  ASSERT_TRUE(cache.verify(alice.public_key(), digest, der, sig));
-  EXPECT_FALSE(cache.verify(mallory.public_key(), digest, der, sig));
-  EXPECT_EQ(cache.misses(), 2u);
-  EXPECT_EQ(cache.hits(), 0u);
-}
-
-TEST(VerifyCache, LruEvictsOldestAtCapacity) {
-  crypto::VerifyCache cache(2);
-  const auto key = crypto::key_from_seed(to_bytes("endorser"));
-  const auto pub = key.public_key();
-  auto entry = [&](const std::string& s) {
-    const auto digest = digest_of(s);
-    const auto sig = crypto::sign(key, digest);
-    return cache.verify(pub, digest, crypto::der_encode_signature(sig), sig);
-  };
-
-  EXPECT_TRUE(entry("a"));
-  EXPECT_TRUE(entry("b"));
-  EXPECT_TRUE(entry("a"));  // touch a: b becomes the LRU victim
-  EXPECT_TRUE(entry("c"));  // evicts b
-  EXPECT_EQ(cache.evictions(), 1u);
-  EXPECT_EQ(cache.size(), 2u);
-
-  const auto misses_before = cache.misses();
-  EXPECT_TRUE(entry("b"));  // evicted → full re-verification (displaces a)
-  EXPECT_EQ(cache.misses(), misses_before + 1);
-  EXPECT_TRUE(entry("c"));  // most recent before b's return: still cached
-  EXPECT_EQ(cache.misses(), misses_before + 1);
-}
 
 // ---------------------------------------------------------------------------
 // Backend swap: all configurations are observably identical.
@@ -170,8 +81,8 @@ class BackendTest : public ::testing::Test {
 };
 
 TEST_F(BackendTest, AllBackendConfigurationsProduceIdenticalResults) {
-  // One backend per knob setting, each with its own StateDb at a different
-  // shard count, fed the same three blocks: flags, commit hashes, valid
+  // One backend per parallelism lane, each with its own StateDb at a
+  // different shard count, fed the same three blocks: flags, commit hashes, valid
   // counts and DB sizes must be identical across the board.
   struct Lane {
     std::unique_ptr<ValidatorBackend> backend;
@@ -185,15 +96,9 @@ TEST_F(BackendTest, AllBackendConfigurationsProduceIdenticalResults) {
   lanes.emplace_back(
       make_software_backend(msp_, policies_, {.parallelism = 1}), 3);
   lanes.emplace_back(
-      make_software_backend(msp_, policies_,
-                            {.parallelism = 4, .verify_cache_capacity = 1024}),
-      8);
-  // A pathologically small cache: constant eviction churn must still be
-  // invisible in the results.
+      make_software_backend(msp_, policies_, {.parallelism = 4}), 8);
   lanes.emplace_back(
-      make_software_backend(msp_, policies_,
-                            {.parallelism = 2, .verify_cache_capacity = 2}),
-      13);
+      make_software_backend(msp_, policies_, {.parallelism = 2}), 13);
 
   for (int b = 0; b < 3; ++b) {
     const Block block = cut(mixed_envelopes(b));
@@ -222,43 +127,25 @@ TEST_F(BackendTest, AllBackendConfigurationsProduceIdenticalResults) {
   }
 }
 
-TEST_F(BackendTest, RepeatedEndorsementsHitTheCache) {
-  // The endorsement digest is H(chaincode || rwset || cert) — transactions
-  // sharing an rwset carry bit-identical (RFC 6979) endorsement signatures,
-  // so only the first one per endorser costs a real verification.
-  std::vector<Bytes> envs;
-  for (int i = 0; i < 10; ++i) {
-    ReadWriteSet rw;
-    rw.writes.push_back({"hot", to_bytes("v")});  // blind write: no conflict
-    envs.push_back(
-        make_tx("t" + std::to_string(i), {&peer1_, &peer2_}, std::move(rw)));
-  }
-  const Block block = cut(std::move(envs));
+TEST_F(BackendTest, RepeatedSignersVerifyThroughCombTables) {
+  // Every validator verifies through per-identity comb tables: the block's
+  // transactions share one client and two endorsers, so after the first
+  // sighting of each key the remaining checks hit a cached table.
+  const Block block = cut(mixed_envelopes(0));
+  SoftwareValidator validator(msp_, policies_, 1);
+  StateDb db;
+  Ledger ledger;
+  validator.validate_and_commit(block, db, ledger);
 
-  SoftwareValidator cached(msp_, policies_);
-  cached.enable_verify_cache(1024);
-  SoftwareValidator plain(msp_, policies_);
-  StateDb db_cached, db_plain;
-  Ledger ledger_cached, ledger_plain;
-  const auto r_cached =
-      cached.validate_and_commit(block, db_cached, ledger_cached);
-  const auto r_plain = plain.validate_and_commit(block, db_plain, ledger_plain);
-
-  EXPECT_EQ(r_cached.flags, r_plain.flags);
-  EXPECT_EQ(r_cached.commit_hash, r_plain.commit_hash);
-  EXPECT_EQ(r_cached.valid_tx_count, 10u);
-
-  ASSERT_NE(cached.verify_cache(), nullptr);
-  // 10 txs x 2 endorsements: one miss per endorser, the rest hits. (The
-  // stats still count every check — the cache changes cost, not counting.)
-  EXPECT_EQ(cached.verify_cache()->misses(), 2u);
-  EXPECT_EQ(cached.verify_cache()->hits(), 18u);
-  EXPECT_EQ(cached.stats().endorsement_signature_checks,
-            plain.stats().endorsement_signature_checks);
+  obs::Registry registry;
+  validator.publish_metrics(registry, "sw");
+  const obs::Counter* hits = registry.find_counter("sw_comb_table_hits_total");
+  ASSERT_NE(hits, nullptr);
+  EXPECT_GT(hits->value(), 0u);
 }
 
 TEST_F(BackendTest, FactoryProducesIndependentBackends) {
-  const auto factory = software_backend_factory({.verify_cache_capacity = 64});
+  const auto factory = software_backend_factory({.parallelism = 1});
   auto a = factory(msp_, policies_);
   auto b = factory(msp_, policies_);
   ASSERT_NE(a, nullptr);

@@ -116,6 +116,19 @@ TEST(Msp, ValidatesAcrossOrgs) {
   EXPECT_FALSE(msp.validate(unknown.issue(Role::kPeer, 0, "p").cert));
 }
 
+TEST(Msp, RejectsForgedKeyAfterGenuineCertIsCached) {
+  // A copy of a genuine cert with the public key swapped keeps issuer,
+  // subject and serial. Validating the genuine cert first must not let the
+  // copy ride on its cached verdict.
+  Msp msp;
+  auto& org1 = msp.add_org("Org1");
+  const Identity peer = org1.issue(Role::kPeer, 0, "peer0.org1");
+  Certificate forged = peer.cert;
+  forged.public_key = crypto::key_from_seed(to_bytes("attacker")).public_key();
+  EXPECT_TRUE(msp.validate(peer.cert));
+  EXPECT_FALSE(msp.validate(forged));
+}
+
 TEST(Msp, EncodesIdsFromCerts) {
   Msp msp;
   auto& org1 = msp.add_org("Org1");

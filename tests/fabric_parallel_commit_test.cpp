@@ -1,11 +1,13 @@
-// Dependency-aware parallel commit: the rw-set wave scheduler must respect
-// true and anti dependencies, and the parallel MVCC + commit path must be
-// byte-identical to the sequential oracle on every workload shape —
-// conflict-free, conflict-heavy, and Zipf-skewed hot keys. Runs under the
-// `threads` label so the CI TSan job races the wave workers.
+// Dependency-aware commit: the rw-set wave scheduler must respect true and
+// anti dependencies, and the validator's wave-scheduled MVCC + commit must
+// be byte-identical to the plain in-order walk below (the oracle) on every
+// workload shape — conflict-free, conflict-heavy, and Zipf-skewed hot keys —
+// with and without a worker pool. Runs under the `threads` label so the CI
+// TSan job races the wave workers.
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <set>
 
 #include "common/rng.hpp"
 #include "fabric/commit_graph.hpp"
@@ -106,7 +108,66 @@ TEST(CommitSchedule, InvalidTransactionsAreExcluded) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential: parallel commit vs the sequential oracle, end to end.
+// The oracle: Fabric's mvcc as an in-order walk over the block, then commit.
+
+struct OracleCommit {
+  std::vector<TxValidationCode> flags;
+  crypto::Digest commit_hash{};
+  std::uint64_t db_reads = 0;
+};
+
+/// Steps 3 and 4 of validate_and_commit, written the obvious way. Walk the
+/// transactions in order; a read conflicts when it misses the committed
+/// state or a key written by an earlier valid transaction of this block.
+/// Then apply the survivors' writes and append the flagged block.
+/// `validated` are a validator's flags for the block: only their pre-mvcc
+/// verdicts are used (every kMvccReadConflict is re-decided here).
+OracleCommit in_order_commit(const Block& block,
+                             std::vector<TxValidationCode> validated,
+                             StateDb& db, Ledger& ledger) {
+  OracleCommit out;
+  out.flags = std::move(validated);
+  std::vector<ParsedTransaction> parsed(block.tx_count());
+  std::set<std::string> pending_writes;
+  for (std::size_t i = 0; i < block.tx_count(); ++i) {
+    if (out.flags[i] == TxValidationCode::kMvccReadConflict)
+      out.flags[i] = TxValidationCode::kValid;
+    if (out.flags[i] != TxValidationCode::kValid) continue;
+    parsed[i] = *parse_envelope(block.envelopes[i]);
+    const ParsedTransaction& tx = parsed[i];
+    bool conflict = false;
+    for (const KVRead& read : tx.rwset.reads) {
+      ++out.db_reads;
+      const std::string key = StateDb::namespaced(tx.chaincode_id, read.key);
+      if (pending_writes.count(key) != 0 ||
+          !db.version_matches(KVRead{key, read.version})) {
+        conflict = true;
+        break;
+      }
+    }
+    if (conflict) {
+      out.flags[i] = TxValidationCode::kMvccReadConflict;
+      continue;
+    }
+    for (const KVWrite& write : tx.rwset.writes)
+      pending_writes.insert(StateDb::namespaced(tx.chaincode_id, write.key));
+  }
+
+  Block committed = block;
+  for (std::size_t i = 0; i < block.tx_count(); ++i) {
+    committed.metadata.tx_flags[i] = static_cast<std::uint8_t>(out.flags[i]);
+    if (out.flags[i] != TxValidationCode::kValid) continue;
+    const Version version{block.header.number, static_cast<std::uint32_t>(i)};
+    for (const KVWrite& write : parsed[i].rwset.writes)
+      db.put(StateDb::namespaced(parsed[i].chaincode_id, write.key),
+             write.value, version);
+  }
+  out.commit_hash = ledger.append(std::move(committed));
+  return out;
+}
+
+// ---------------------------------------------------------------------------
+// Differential: the validator at parallelism 1 and 4 vs the oracle.
 
 class ParallelCommitTest : public ::testing::Test {
  protected:
@@ -137,8 +198,8 @@ class ParallelCommitTest : public ::testing::Test {
     return *orderer_->flush();
   }
 
-  /// Run `blocks` through a sequential oracle lane and parallel lanes at
-  /// 2 and 4 worker threads; everything observable must match.
+  /// Run `blocks` through validators at 1 and 4 worker threads and through
+  /// the in-order oracle; everything observable must match.
   void expect_equivalent(const std::vector<Block>& blocks) {
     struct Lane {
       std::unique_ptr<ValidatorBackend> backend;
@@ -150,40 +211,35 @@ class ParallelCommitTest : public ::testing::Test {
     std::deque<Lane> lanes;
     lanes.emplace_back(
         make_software_backend(msp_, policies_, {.parallelism = 1}), 1);
-    lanes.emplace_back(make_software_backend(msp_, policies_,
-                                             {.parallelism = 2,
-                                              .parallel_commit = true}),
-                       4);
-    lanes.emplace_back(make_software_backend(msp_, policies_,
-                                             {.parallelism = 4,
-                                              .verify_cache_capacity = 256,
-                                              .comb_table_capacity = 8,
-                                              .parallel_commit = true}),
-                       8);
+    lanes.emplace_back(
+        make_software_backend(msp_, policies_, {.parallelism = 4}), 8);
+    StateDb oracle_db;
+    Ledger oracle_ledger;
+    std::uint64_t oracle_reads = 0;
 
     for (const Block& block : blocks) {
-      const auto reference = lanes[0].backend->validate_and_commit(
-          block, lanes[0].db, lanes[0].ledger);
-      for (std::size_t i = 1; i < lanes.size(); ++i) {
-        const auto result = lanes[i].backend->validate_and_commit(
-            block, lanes[i].db, lanes[i].ledger);
-        ASSERT_EQ(result.flags, reference.flags) << "lane " << i;
-        ASSERT_EQ(result.commit_hash, reference.commit_hash) << "lane " << i;
-        EXPECT_EQ(result.valid_tx_count, reference.valid_tx_count);
-        EXPECT_EQ(lanes[i].db.size(), lanes[0].db.size());
+      std::vector<BlockValidationResult> results;
+      for (Lane& lane : lanes)
+        results.push_back(
+            lane.backend->validate_and_commit(block, lane.db, lane.ledger));
+      ASSERT_TRUE(results[0].block_valid);
+      const OracleCommit oracle =
+          in_order_commit(block, results[0].flags, oracle_db, oracle_ledger);
+      oracle_reads += oracle.db_reads;
+      for (std::size_t i = 0; i < lanes.size(); ++i) {
+        ASSERT_EQ(results[i].flags, oracle.flags) << "lane " << i;
+        ASSERT_EQ(results[i].commit_hash, oracle.commit_hash) << "lane " << i;
+        EXPECT_EQ(lanes[i].db.size(), oracle_db.size()) << "lane " << i;
       }
     }
-    // Same stats where semantics demand it: reads/writes are part of the
-    // oracle (the parallel path must probe the DB exactly as often), while
-    // wave counters exist only on the parallel lanes.
-    const auto& seq = lanes[0].backend->stats();
-    for (std::size_t i = 1; i < lanes.size(); ++i) {
-      const auto& par = lanes[i].backend->stats();
-      EXPECT_EQ(par.db_reads, seq.db_reads) << "lane " << i;
-      EXPECT_EQ(par.db_writes, seq.db_writes) << "lane " << i;
-      EXPECT_GT(par.commit_waves, 0u);
+    // Reads are part of the oracle: the waves must probe the DB exactly as
+    // often as the in-order walk, and every lane schedules waves.
+    for (std::size_t i = 0; i < lanes.size(); ++i) {
+      const auto& stats = lanes[i].backend->stats();
+      EXPECT_EQ(stats.db_reads, oracle_reads) << "lane " << i;
+      EXPECT_EQ(stats.db_writes, lanes[0].backend->stats().db_writes);
+      EXPECT_GT(stats.commit_waves, 0u) << "lane " << i;
     }
-    EXPECT_EQ(seq.commit_waves, 0u);
   }
 
   Msp msp_;

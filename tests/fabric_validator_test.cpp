@@ -118,6 +118,40 @@ TEST_F(ValidatorTest, RogueClientKeyRejected) {
   EXPECT_EQ(result.flags[0], TxValidationCode::kBadCreatorSignature);
 }
 
+TEST_F(ValidatorTest, ForgedCreatorCertRejectedAfterGenuineIsCached) {
+  // The genuine client cert validates first, so the MSP has cached it. A
+  // copy carrying the attacker's public key must still be rejected.
+  const Block genuine = cut({make_tx("a", {&peer1_, &peer2_})});
+  ASSERT_EQ(validator_->validate_and_commit(genuine, db_, ledger_).flags[0],
+            TxValidationCode::kValid);
+  Identity forged = client_;
+  forged.key = crypto::key_from_seed(to_bytes("attacker"));
+  forged.cert.public_key = forged.key.public_key();
+  TxProposal proposal;
+  proposal.channel_id = "ch";
+  proposal.chaincode_id = "smallbank";
+  proposal.tx_id = "forged";
+  proposal.rwset.writes.push_back({"k", to_bytes("v")});
+  const Block block =
+      cut({build_envelope(proposal, forged, {&peer1_, &peer2_})});
+  const auto result = validator_->validate_and_commit(block, db_, ledger_);
+  EXPECT_EQ(result.flags[0], TxValidationCode::kBadCreatorSignature);
+}
+
+TEST_F(ValidatorTest, ForgedEndorserCertFailsPolicyAfterGenuineIsCached) {
+  // Same forgery on an endorser: Org2's genuine peer cert is cached, then a
+  // copy with the attacker's key "endorses" for Org2.
+  const Block genuine = cut({make_tx("a", {&peer1_, &peer2_})});
+  ASSERT_EQ(validator_->validate_and_commit(genuine, db_, ledger_).flags[0],
+            TxValidationCode::kValid);
+  Identity forged = peer2_;
+  forged.key = crypto::key_from_seed(to_bytes("attacker"));
+  forged.cert.public_key = forged.key.public_key();
+  const Block block = cut({make_tx("b", {&peer1_, &forged})});
+  const auto result = validator_->validate_and_commit(block, db_, ledger_);
+  EXPECT_EQ(result.flags[0], TxValidationCode::kEndorsementPolicyFailure);
+}
+
 TEST_F(ValidatorTest, EndorsementPolicyFailure) {
   const Block block = cut({make_tx("only-org1", {&peer1_}),
                            make_tx("ok", {&peer1_, &peer2_}),
