@@ -45,6 +45,20 @@ void BM_EcdsaVerify(benchmark::State& state) {
 }
 BENCHMARK(BM_EcdsaVerify);
 
+void BM_EcdsaVerifyComb(benchmark::State& state) {
+  // The validator's path: the key's comb table is built once, outside the
+  // loop, as the per-identity cache does.
+  const PrivateKey key = key_from_seed(to_bytes("bench"));
+  const PublicKey pub = key.public_key();
+  const PointCombTable table = PointCombTable::build(pub.point);
+  const Digest digest = sha256(to_bytes("message"));
+  const Signature sig = sign(key, digest);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(verify_comb(pub, digest, sig, table));
+  }
+}
+BENCHMARK(BM_EcdsaVerifyComb);
+
 void BM_DerRoundTrip(benchmark::State& state) {
   const PrivateKey key = key_from_seed(to_bytes("bench"));
   const Signature sig = sign(key, sha256(to_bytes("m")));
@@ -76,9 +90,21 @@ void BM_FieldInv(benchmark::State& state) {
 }
 BENCHMARK(BM_FieldInv);
 
+void BM_ScalarInv(benchmark::State& state) {
+  // s^-1 mod n, once per sign and once per verify.
+  Rng rng(8);
+  U256 a = mod(U256::from_bytes_be(rng.bytes(32)), p256_n());
+  for (auto _ : state) {
+    a = inv_mod_prime(a, p256_n());
+    benchmark::DoNotOptimize(a);
+  }
+}
+BENCHMARK(BM_ScalarInv);
+
 void BM_ModNReduce(benchmark::State& state) {
-  // The scalar-field workhorse: 512-bit product reduced mod n via the
-  // limb-wise Knuth division (bit-by-bit before the fast path landed).
+  // The scalar-field reduction behind mul_mod: 512-bit product reduced mod
+  // n via the limb-wise Knuth division (bit-by-bit before the fast path
+  // landed).
   Rng rng(4);
   U512 a;
   for (auto& w : a.w) w = rng.next_u64();

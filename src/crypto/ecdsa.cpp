@@ -105,8 +105,10 @@ Signature sign(const PrivateKey& key, const Digest& digest) {
   const U256 e = reduce_n(digest_to_scalar(digest));
   for (std::uint32_t attempt = 0;; ++attempt) {
     const U256 k = rfc6979_nonce(key.d, digest, attempt);
-    const AffinePoint kg = to_affine(base_mult(k));
-    const U256 r = mod(kg.x, n);
+    // Only x(kG) is needed: x = X / Z^2 < p < 2n, so one conditional
+    // subtraction reduces it mod n. (Infinity, Z = 0, would give r = 0.)
+    const JacobianPoint kg = base_mult(k);
+    const U256 r = reduce_n(fp_mul(kg.x, fp_sqr(fp_inv(kg.z))));
     if (r.is_zero()) continue;
     const U256 kinv = inv_mod_prime(k, n);
     const U256 rd = mul_mod(r, key.d, n);
@@ -133,10 +135,7 @@ bool verify_impl(const PublicKey& key, const Digest& digest,
   const U256 w = inv_mod_prime(sig.s, n);
   const U256 u1 = mul_mod(e, w, n);
   const U256 u2 = mul_mod(sig.r, w, n);
-  const JacobianPoint p = mul(u1, u2);
-  if (p.is_infinity()) return false;
-  const AffinePoint pa = to_affine(p);
-  return mod(pa.x, n) == sig.r;
+  return jacobian_x_equals_mod_n(mul(u1, u2), sig.r);
 }
 
 }  // namespace

@@ -106,16 +106,26 @@ U256 fp_mul(const U256& a, const U256& b) {
 U256 fp_sqr(const U256& a) { return fp_mul(a, a); }
 
 U256 fp_inv(const U256& a) {
-  // Fermat: a^(p-2) by square-and-multiply over the fast P-256 reduction.
-  // p - 2 = ffffffff00000001000000000000000000000000fffffffffffffffffffffffd.
-  static const U256 kPMinus2 = U256::from_hex(
-      "ffffffff00000001000000000000000000000000fffffffffffffffffffffffd");
-  U256 result = U256::from_u64(1);
-  for (int i = kPMinus2.top_bit(); i >= 0; --i) {
-    result = fp_sqr(result);
-    if (kPMinus2.bit(i)) result = fp_mul(result, a);
-  }
-  return result;
+  // Fermat, a^(p-2), by a fixed addition chain over the fast reduction:
+  // 255 squarings and 12 multiplications. From the top, p - 2 is 32 ones,
+  // 31 zeros, a one, 96 zeros, 94 ones, a zero and a one.
+  const auto sqr_n = [](U256 x, int n) {
+    for (int i = 0; i < n; ++i) x = fp_sqr(x);
+    return x;
+  };
+  // xk = a^(2^k - 1): k consecutive one bits.
+  const U256 x2 = fp_mul(fp_sqr(a), a);
+  const U256 x3 = fp_mul(fp_sqr(x2), a);
+  const U256 x6 = fp_mul(sqr_n(x3, 3), x3);
+  const U256 x12 = fp_mul(sqr_n(x6, 6), x6);
+  const U256 x15 = fp_mul(sqr_n(x12, 3), x3);
+  const U256 x30 = fp_mul(sqr_n(x15, 15), x15);
+  const U256 x32 = fp_mul(sqr_n(x30, 2), x2);
+  U256 t = fp_mul(sqr_n(x32, 32), a);  // 32 ones, 31 zeros, 1
+  t = fp_mul(sqr_n(t, 128), x32);      // then 96 zeros, 32 ones
+  t = fp_mul(sqr_n(t, 32), x32);       // then 32 ones
+  t = fp_mul(sqr_n(t, 30), x30);       // then 30 ones
+  return fp_mul(sqr_n(t, 2), a);       // then 0, 1
 }
 
 JacobianPoint to_jacobian(const AffinePoint& p) {
@@ -129,6 +139,17 @@ AffinePoint to_affine(const JacobianPoint& p) {
   const U256 zinv2 = fp_sqr(zinv);
   const U256 zinv3 = fp_mul(zinv2, zinv);
   return AffinePoint{fp_mul(p.x, zinv2), fp_mul(p.y, zinv3), false};
+}
+
+bool jacobian_x_equals_mod_n(const JacobianPoint& p, const U256& r) {
+  if (p.is_infinity()) return false;
+  // The affine x = X / Z^2 lies in [0, p) and p < 2n, so x mod n == r
+  // exactly when x == r or x == r + n (the latter only if r + n < p).
+  const U256 z2 = fp_sqr(p.z);
+  if (fp_mul(r, z2) == p.x) return true;
+  U256 rn;
+  if (add(rn, r, kN) != 0 || cmp(rn, kP) >= 0) return false;
+  return fp_mul(rn, z2) == p.x;
 }
 
 JacobianPoint point_double(const JacobianPoint& p) {

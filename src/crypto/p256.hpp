@@ -47,6 +47,11 @@ const AffinePoint& p256_generator();
 JacobianPoint to_jacobian(const AffinePoint& p);
 AffinePoint to_affine(const JacobianPoint& p);
 
+/// True iff p is finite and x(p) mod n == r, for r < n, decided without a
+/// field inversion: X == r*Z^2, or r + n < p and X == (r + n)*Z^2 (mod p).
+/// The final comparison of ECDSA verification.
+bool jacobian_x_equals_mod_n(const JacobianPoint& p, const U256& r);
+
 JacobianPoint point_double(const JacobianPoint& p);
 JacobianPoint point_add(const JacobianPoint& p, const JacobianPoint& q);
 /// Mixed Jacobian + affine addition (Z2 = 1), ~30% cheaper than the general

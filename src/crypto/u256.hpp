@@ -1,9 +1,10 @@
 // Fixed-width 256-bit unsigned arithmetic for the P-256 implementation.
 //
 // Little-endian 64-bit limbs (w[0] is least significant). Wide products use
-// a 512-bit struct; modular reduction is either the generic shift-subtract
-// division (used on the scalar field, where it runs rarely) or the dedicated
-// fast reduction for the NIST P-256 prime in p256.cpp.
+// a 512-bit struct; modular reduction is the generic limb-wise division (a
+// handful of calls per signature on the scalar field), Montgomery
+// multiplication inside pow_mod, or the dedicated fast reduction for the
+// NIST P-256 prime in p256.cpp.
 #pragma once
 
 #include <array>
@@ -63,10 +64,13 @@ U256 sub_mod(const U256& a, const U256& b, const U256& m);
 /// (a * b) mod m via wide product + generic division.
 U256 mul_mod(const U256& a, const U256& b, const U256& m);
 
-/// a^e mod m by square-and-multiply.
+/// a^e mod m for an odd modulus m >= 3 (throws std::invalid_argument
+/// otherwise); a may be >= m. Montgomery multiplication under a fixed 4-bit
+/// window: 252 squarings and 80 other multiplications whatever e is, and one
+/// generic division to set up.
 U256 pow_mod(const U256& a, const U256& e, const U256& m);
 
-/// a^(m-2) mod m — modular inverse when m is prime and a != 0.
+/// a^(m-2) mod m — modular inverse when m is an odd prime and a != 0.
 U256 inv_mod_prime(const U256& a, const U256& m);
 
 }  // namespace bm::crypto

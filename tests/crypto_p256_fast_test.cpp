@@ -165,6 +165,85 @@ TEST(P256Fast, MixedAdditionMatchesGeneral) {
   EXPECT_TRUE(point_add_affine(p, neg).is_infinity());
 }
 
+/// A curve point whose x lies in [n, p): the first x = n + i (i >= 1) with
+/// x^3 - 3x + b a square, y = rhs^((p+1)/4) since p = 3 (mod 4). A random
+/// point lands there with probability about 2^-128.
+AffinePoint point_with_x_above_n() {
+  U256 sqrt_exp;
+  add(sqrt_exp, p256_p(), U256::from_u64(1));
+  for (int i = 0; i < 3; ++i)
+    sqrt_exp.w[i] = (sqrt_exp.w[i] >> 2) | (sqrt_exp.w[i + 1] << 62);
+  sqrt_exp.w[3] >>= 2;
+  // About half of all x are abscissas, so 64 misses in a row mean a broken
+  // pow_mod; the caller rejects the infinity returned then.
+  for (std::uint64_t i = 1; i <= 64; ++i) {
+    U256 x;
+    add(x, p256_n(), U256::from_u64(i));
+    const U256 rhs = fp_add(
+        fp_sub(fp_mul(fp_sqr(x), x), fp_add(fp_add(x, x), x)), p256_b());
+    const U256 y = pow_mod(rhs, sqrt_exp, p256_p());
+    if (fp_sqr(y) == rhs) return AffinePoint{x, y, false};
+  }
+  return AffinePoint{{}, {}, true};
+}
+
+/// The same point as `a` with a random nonzero Z.
+JacobianPoint with_random_z(const AffinePoint& a, Rng& rng) {
+  U256 z = mod(random_scalar(rng), p256_p());
+  if (z.is_zero()) z = U256::from_u64(1);
+  const U256 z2 = fp_sqr(z);
+  return JacobianPoint{fp_mul(a.x, z2), fp_mul(a.y, fp_mul(z2, z)), z};
+}
+
+TEST(P256Fast, JacobianXCheckTakesTheXAboveNBranch) {
+  const AffinePoint pt = point_with_x_above_n();
+  ASSERT_FALSE(pt.infinity);
+  ASSERT_TRUE(on_curve(pt));
+  ASSERT_GE(cmp(pt.x, p256_n()), 0);
+  U256 r, r_minus_1, r_plus_1;
+  sub(r, pt.x, p256_n());
+  sub(r_minus_1, r, U256::from_u64(1));
+  add(r_plus_1, r, U256::from_u64(1));
+  Rng rng(16);
+  for (int i = 0; i < 8; ++i) {
+    const JacobianPoint jp = with_random_z(pt, rng);
+    ASSERT_EQ(to_affine(jp), pt);
+    EXPECT_TRUE(jacobian_x_equals_mod_n(jp, r)) << "iteration " << i;
+    EXPECT_FALSE(jacobian_x_equals_mod_n(jp, r_minus_1)) << "iteration " << i;
+    EXPECT_FALSE(jacobian_x_equals_mod_n(jp, r_plus_1)) << "iteration " << i;
+  }
+
+  // Through both verify paths: with the point itself as the public key, a
+  // zero digest and s = r give u1 = 0 and u2 = 1, so u1*G + u2*Q is the
+  // point and the signature is valid exactly for r = x - n.
+  const PublicKey key{pt};
+  const PointCombTable table = PointCombTable::build(pt);
+  const Digest zero{};
+  EXPECT_TRUE(verify(key, zero, Signature{r, r}));
+  EXPECT_TRUE(verify_comb(key, zero, Signature{r, r}, table));
+  EXPECT_FALSE(verify(key, zero, Signature{r_plus_1, r_plus_1}));
+  EXPECT_FALSE(verify_comb(key, zero, Signature{r_plus_1, r_plus_1}, table));
+}
+
+TEST(P256Fast, JacobianXCheckMatchesAffineReduction) {
+  Rng rng(17);
+  const AffinePoint base = key_from_seed(to_bytes("xcheck")).public_key().point;
+  const U256& n = p256_n();
+  for (int i = 0; i < 20; ++i) {
+    const JacobianPoint p = scalar_mult_naive(random_scalar(rng), base);
+    const U256 x_mod_n = mod(to_affine(p).x, n);
+    const U256 other = mod(random_scalar(rng), n);
+    const U256 next = add_mod(x_mod_n, U256::from_u64(1), n);
+    for (const JacobianPoint& q : {p, with_random_z(to_affine(p), rng)}) {
+      EXPECT_TRUE(jacobian_x_equals_mod_n(q, x_mod_n)) << "iteration " << i;
+      EXPECT_FALSE(jacobian_x_equals_mod_n(q, next)) << "iteration " << i;
+      EXPECT_EQ(jacobian_x_equals_mod_n(q, other), other == x_mod_n)
+          << "iteration " << i;
+    }
+  }
+  EXPECT_FALSE(jacobian_x_equals_mod_n(JacobianPoint{}, U256{}));
+}
+
 // Signatures produced by the pre-optimization (naive double-and-add)
 // implementation. The fast comb/wNAF paths must reproduce them bit for bit:
 // RFC 6979 nonces plus identical group arithmetic leave no room for drift.

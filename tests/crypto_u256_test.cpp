@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <vector>
+
 #include "common/rng.hpp"
 #include "crypto/p256.hpp"
 #include "crypto/u256.hpp"
@@ -111,6 +114,53 @@ TEST(U256, PowModIdentities) {
   EXPECT_EQ(pow_mod(a, U256::from_u64(0), m), U256::from_u64(1));
   EXPECT_EQ(pow_mod(a, U256::from_u64(1), m), a);
   EXPECT_EQ(pow_mod(a, U256::from_u64(2), m), mul_mod(a, a, m));
+}
+
+TEST(U256, PowModMatchesDivisionOracle) {
+  // Montgomery fixed-window pow_mod against square-and-multiply over the
+  // generic division, on the two curve moduli and random odd moduli of
+  // every limb width, with edge and random bases and exponents.
+  Rng rng(60);
+  U256 all_ones;
+  for (auto& w : all_ones.w) w = ~std::uint64_t{0};
+  std::vector<U256> moduli = {p256_p(), p256_n()};
+  for (int limbs = 1; limbs <= 4; ++limbs) {
+    for (int i = 0; i < 3; ++i) {
+      U256 m;
+      for (int j = 0; j < limbs; ++j) m.w[j] = rng.next_u64();
+      m.w[limbs - 1] |= std::uint64_t{1} << 63;
+      m.w[0] |= 1;
+      moduli.push_back(m);
+    }
+  }
+  for (const U256& m : moduli) {
+    U256 m_minus_1, m_minus_2;
+    sub(m_minus_1, m, U256::from_u64(1));
+    sub(m_minus_2, m, U256::from_u64(2));
+    const std::vector<U256> bases = {U256{}, U256::from_u64(1), m_minus_1,
+                                     all_ones, random_u256(rng),
+                                     mod(random_u256(rng), m)};
+    const std::vector<U256> exponents = {U256{}, U256::from_u64(1),
+                                         m_minus_2, all_ones,
+                                         random_u256(rng)};
+    for (const U256& a : bases)
+      for (const U256& e : exponents)
+        EXPECT_EQ(pow_mod(a, e, m), pow_mod_division(a, e, m))
+            << "m=" << m.w[0] << " a=" << a.w[0] << " e=" << e.w[0];
+  }
+}
+
+TEST(U256, PowModRejectsEvenModulus) {
+  const U256 a = U256::from_u64(5);
+  const U256 e = U256::from_u64(3);
+  U256 p_plus_1;
+  add(p_plus_1, p256_p(), U256::from_u64(1));
+  for (const U256& m : {U256{}, U256::from_u64(1), U256::from_u64(2),
+                        U256::from_u64(4), p_plus_1}) {
+    EXPECT_THROW(pow_mod(a, e, m), std::invalid_argument) << m.w[0];
+    EXPECT_THROW(inv_mod_prime(a, m), std::invalid_argument) << m.w[0];
+  }
+  EXPECT_EQ(pow_mod(a, e, U256::from_u64(3)), U256::from_u64(2));
 }
 
 TEST(U256, InverseModPrime) {

@@ -21,6 +21,15 @@ U256 mod_bitwise(const U512& a, const U256& m) {
   return r;
 }
 
+U256 pow_mod_division(const U256& a, const U256& e, const U256& m) {
+  U256 result = mod(U256::from_u64(1), m);
+  for (int i = e.top_bit(); i >= 0; --i) {
+    result = mul_mod(result, result, m);
+    if (e.bit(i)) result = mul_mod(result, a, m);
+  }
+  return result;
+}
+
 JacobianPoint scalar_mult_naive(const U256& k, const AffinePoint& p) {
   JacobianPoint acc{};
   const JacobianPoint base = to_jacobian(p);

@@ -12,6 +12,11 @@ namespace bm::crypto {
 /// m must be non-zero.
 U256 mod_bitwise(const U512& a, const U256& m);
 
+/// a^e mod m by left-to-right square-and-multiply over mul_mod, one
+/// generic division per step (the pre-Montgomery pow_mod); m must be
+/// non-zero.
+U256 pow_mod_division(const U256& a, const U256& e, const U256& m);
+
 /// k * P by left-to-right double-and-add over every bit of k.
 JacobianPoint scalar_mult_naive(const U256& k, const AffinePoint& p);
 
