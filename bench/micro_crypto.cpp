@@ -1,4 +1,5 @@
-// Microbenchmarks for the crypto substrate (google-benchmark).
+// Microbenchmarks for the crypto substrate and the CRC-32 record checksum
+// (google-benchmark).
 //
 // These measure the host CPU's software implementations — the operations
 // the paper offloads. A software ECDSA verification in the hundreds of
@@ -6,6 +7,7 @@
 // ecdsa_engines (145 us each in hardware).
 #include <benchmark/benchmark.h>
 
+#include "common/crc32.hpp"
 #include "common/rng.hpp"
 #include "crypto/der.hpp"
 #include "crypto/ecdsa.hpp"
@@ -24,6 +26,15 @@ void BM_Sha256(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_Sha256)->Arg(64)->Arg(1024)->Arg(65536);
+
+void BM_Crc32(benchmark::State& state) {
+  const Bytes data = Rng(1).bytes(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crc32(data));
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(64)->Arg(1024)->Arg(65536);
 
 void BM_EcdsaSign(benchmark::State& state) {
   const PrivateKey key = key_from_seed(to_bytes("bench"));

@@ -5,23 +5,48 @@
 namespace bm {
 
 namespace {
-std::array<std::uint32_t, 256> make_table() {
-  std::array<std::uint32_t, 256> table{};
+
+// Slicing-by-8: kTables[k][b] is the CRC register after feeding byte b
+// followed by k zero bytes, so eight input bytes fold in with eight
+// independent lookups instead of a chain of eight dependent ones.
+using Tables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr Tables make_tables() {
+  Tables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int bit = 0; bit < 8; ++bit)
       c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < 8; ++k)
+    for (std::size_t i = 0; i < 256; ++i)
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFF];
+  return t;
 }
-const std::array<std::uint32_t, 256> kTable = make_table();
+
+constexpr Tables kTables = make_tables();
+
+std::uint32_t load_le32(const std::uint8_t* p) {
+  return std::uint32_t(p[0]) | (std::uint32_t(p[1]) << 8) |
+         (std::uint32_t(p[2]) << 16) | (std::uint32_t(p[3]) << 24);
+}
+
 }  // namespace
 
 std::uint32_t crc32_update(std::uint32_t crc, ByteView data) {
   crc = ~crc;
-  for (const std::uint8_t byte : data)
-    crc = kTable[(crc ^ byte) & 0xFF] ^ (crc >> 8);
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
+  for (; n >= 8; n -= 8, p += 8) {
+    const std::uint32_t lo = load_le32(p) ^ crc;
+    const std::uint32_t hi = load_le32(p + 4);
+    crc = kTables[7][lo & 0xFF] ^ kTables[6][(lo >> 8) & 0xFF] ^
+          kTables[5][(lo >> 16) & 0xFF] ^ kTables[4][lo >> 24] ^
+          kTables[3][hi & 0xFF] ^ kTables[2][(hi >> 8) & 0xFF] ^
+          kTables[1][(hi >> 16) & 0xFF] ^ kTables[0][hi >> 24];
+  }
+  for (; n > 0; --n, ++p) crc = kTables[0][(crc ^ *p) & 0xFF] ^ (crc >> 8);
   return ~crc;
 }
 

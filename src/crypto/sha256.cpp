@@ -1,6 +1,12 @@
 #include "crypto/sha256.hpp"
 
+#include <algorithm>
 #include <cstring>
+
+#if defined(__x86_64__)
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
 
 namespace bm::crypto {
 
@@ -25,7 +31,127 @@ constexpr std::uint32_t kRound[64] = {
 
 std::uint32_t rotr(std::uint32_t x, int n) { return (x >> n) | (x << (32 - n)); }
 
+#if defined(__x86_64__)
+
+bool cpu_has_sha_extensions() {
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (!__get_cpuid(1, &eax, &ebx, &ecx, &edx)) return false;
+  if (!(ecx & bit_SSSE3) || !(ecx & bit_SSE4_1)) return false;
+  if (!__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx)) return false;
+  return (ebx & bit_SHA) != 0;
+}
+
+// State is kept as ABEF / CDGH, the operand layout sha256rnds2 expects;
+// each iteration of the round loop runs four rounds, and from the fifth on
+// first extends the message schedule by four words in place.
+__attribute__((target("sha,sse4.1"))) void compress_sha_extensions(
+    std::uint32_t* state, const std::uint8_t* data, std::size_t nblocks) {
+  const __m128i byteswap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+  const __m128i dcba = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state)), 0xB1);
+  const __m128i hgfe = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4)), 0x1B);
+  __m128i abef = _mm_alignr_epi8(dcba, hgfe, 8);
+  __m128i cdgh = _mm_blend_epi16(hgfe, dcba, 0xF0);
+
+  for (; nblocks > 0; --nblocks, data += 64) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    __m128i w[4];
+    for (int i = 0; i < 4; ++i)
+      w[i] = _mm_shuffle_epi8(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + 16 * i)),
+          byteswap);
+#pragma GCC unroll 16
+    for (int g = 0; g < 16; ++g) {
+      if (g >= 4) {
+        // w[g % 4] holds W[4g-16 .. 4g-13]; replace it with W[4g .. 4g+3].
+        const __m128i prev = w[(g + 3) & 3];
+        const __m128i t = _mm_add_epi32(
+            _mm_sha256msg1_epu32(w[g & 3], w[(g + 1) & 3]),
+            _mm_alignr_epi8(prev, w[(g + 2) & 3], 4));
+        w[g & 3] = _mm_sha256msg2_epu32(t, prev);
+      }
+      const __m128i wk = _mm_add_epi32(
+          w[g & 3],
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(kRound + 4 * g)));
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state),
+                   _mm_blend_epi16(feba, dchg, 0xF0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4),
+                   _mm_alignr_epi8(dchg, feba, 8));
+}
+
+#endif  // __x86_64__
+
+void compress(std::uint32_t* state, const std::uint8_t* data,
+              std::size_t nblocks) {
+  static const detail::Sha256Kernel kernel = detail::sha256_selected_kernel();
+  kernel(state, data, nblocks);
+}
+
 }  // namespace
+
+namespace detail {
+
+void sha256_compress_portable(std::uint32_t* state, const std::uint8_t* data,
+                              std::size_t nblocks) {
+  for (; nblocks > 0; --nblocks, data += 64) {
+    std::uint32_t w[64];
+    for (int i = 0; i < 16; ++i) {
+      w[i] = (std::uint32_t(data[4 * i]) << 24) |
+             (std::uint32_t(data[4 * i + 1]) << 16) |
+             (std::uint32_t(data[4 * i + 2]) << 8) |
+             std::uint32_t(data[4 * i + 3]);
+    }
+    for (int i = 16; i < 64; ++i) {
+      const std::uint32_t s0 =
+          rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      const std::uint32_t s1 =
+          rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+
+    std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+    for (int i = 0; i < 64; ++i) {
+      const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
+      const std::uint32_t ch = (e & f) ^ (~e & g);
+      const std::uint32_t t1 = h + s1 + ch + kRound[i] + w[i];
+      const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
+      const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+      const std::uint32_t t2 = s0 + maj;
+      h = g; g = f; f = e; e = d + t1;
+      d = c; c = b; b = a; a = t1 + t2;
+    }
+    state[0] += a; state[1] += b; state[2] += c; state[3] += d;
+    state[4] += e; state[5] += f; state[6] += g; state[7] += h;
+  }
+}
+
+Sha256Kernel sha256_accelerated_kernel() {
+#if defined(__x86_64__)
+  return cpu_has_sha_extensions() ? compress_sha_extensions : nullptr;
+#else
+  return nullptr;
+#endif
+}
+
+Sha256Kernel sha256_selected_kernel() {
+  const Sha256Kernel accelerated = sha256_accelerated_kernel();
+  return accelerated ? accelerated : sha256_compress_portable;
+}
+
+}  // namespace detail
 
 Sha256::Sha256() { reset(); }
 
@@ -33,38 +159,6 @@ void Sha256::reset() {
   std::memcpy(state_.data(), kInit, sizeof(kInit));
   total_len_ = 0;
   buffer_len_ = 0;
-}
-
-void Sha256::compress(const std::uint8_t* block) {
-  std::uint32_t w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = (std::uint32_t(block[4 * i]) << 24) |
-           (std::uint32_t(block[4 * i + 1]) << 16) |
-           (std::uint32_t(block[4 * i + 2]) << 8) |
-           std::uint32_t(block[4 * i + 3]);
-  }
-  for (int i = 16; i < 64; ++i) {
-    const std::uint32_t s0 =
-        rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    const std::uint32_t s1 =
-        rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-
-  std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
-  for (int i = 0; i < 64; ++i) {
-    const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
-    const std::uint32_t ch = (e & f) ^ (~e & g);
-    const std::uint32_t t1 = h + s1 + ch + kRound[i] + w[i];
-    const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
-    const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    const std::uint32_t t2 = s0 + maj;
-    h = g; g = f; f = e; e = d + t1;
-    d = c; c = b; b = a; a = t1 + t2;
-  }
-  state_[0] += a; state_[1] += b; state_[2] += c; state_[3] += d;
-  state_[4] += e; state_[5] += f; state_[6] += g; state_[7] += h;
 }
 
 void Sha256::update(ByteView data) {
@@ -75,14 +169,14 @@ void Sha256::update(ByteView data) {
     std::memcpy(buffer_.data() + buffer_len_, data.data(), take);
     buffer_len_ += take;
     pos += take;
-    if (buffer_len_ == 64) {
-      compress(buffer_.data());
-      buffer_len_ = 0;
-    }
+    if (buffer_len_ < 64) return;
+    compress(state_.data(), buffer_.data(), 1);
+    buffer_len_ = 0;
   }
-  while (pos + 64 <= data.size()) {
-    compress(data.data() + pos);
-    pos += 64;
+  const std::size_t nblocks = (data.size() - pos) / 64;
+  if (nblocks > 0) {
+    compress(state_.data(), data.data() + pos, nblocks);
+    pos += 64 * nblocks;
   }
   if (pos < data.size()) {
     std::memcpy(buffer_.data(), data.data() + pos, data.size() - pos);
@@ -92,15 +186,16 @@ void Sha256::update(ByteView data) {
 
 Digest Sha256::finish() {
   const std::uint64_t bit_len = total_len_ * 8;
-  const std::uint8_t pad_byte = 0x80;
-  update(ByteView(&pad_byte, 1));
-  const std::uint8_t zero = 0x00;
-  while (buffer_len_ != 56) update(ByteView(&zero, 1));
-
-  std::uint8_t len_bytes[8];
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 56) {
+    std::memset(buffer_.data() + buffer_len_, 0, 64 - buffer_len_);
+    compress(state_.data(), buffer_.data(), 1);
+    buffer_len_ = 0;
+  }
+  std::memset(buffer_.data() + buffer_len_, 0, 56 - buffer_len_);
   for (int i = 0; i < 8; ++i)
-    len_bytes[i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
-  update(ByteView(len_bytes, 8));
+    buffer_[56 + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+  compress(state_.data(), buffer_.data(), 1);
 
   Digest out;
   for (int i = 0; i < 8; ++i) {

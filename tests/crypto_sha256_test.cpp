@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+
 #include "common/hex.hpp"
 #include "common/rng.hpp"
 #include "crypto/hmac.hpp"
@@ -34,14 +37,46 @@ TEST(Sha256, MillionAs) {
             "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
 }
 
-TEST(Sha256, StreamingEqualsOneShotAtEverySplit) {
+// Every length up to 300 bytes (four whole blocks and a partial one), each
+// split at every point into two updates: covers the buffered head, the
+// multi-block middle and both padding cases (one or two final blocks) of
+// finish().
+TEST(Sha256, StreamingEveryLengthAndSplit) {
   const Bytes msg = Rng(5).bytes(300);
-  const Digest expected = sha256(msg);
-  for (std::size_t split = 0; split <= msg.size(); split += 13) {
-    Sha256 h;
-    h.update(ByteView(msg).subspan(0, split));
-    h.update(ByteView(msg).subspan(split));
-    EXPECT_EQ(h.finish(), expected) << "split=" << split;
+  for (std::size_t len = 0; len <= msg.size(); ++len) {
+    const ByteView whole = ByteView(msg).subspan(0, len);
+    const Digest expected = sha256(whole);
+    for (std::size_t split = 0; split <= len; ++split) {
+      Sha256 h;
+      h.update(whole.subspan(0, split));
+      h.update(whole.subspan(split));
+      ASSERT_EQ(h.finish(), expected) << "len=" << len << " split=" << split;
+    }
+  }
+}
+
+// Kernel against kernel on random chaining states, 1-8 blocks per call.
+TEST(Sha256, AcceleratedKernelMatchesPortable) {
+  const detail::Sha256Kernel accelerated = detail::sha256_accelerated_kernel();
+  if (accelerated == nullptr) {
+    GTEST_SKIP() << "no accelerated SHA-256 kernel: the CPU lacks SHA "
+                    "extensions (CPUID.(EAX=7,ECX=0):EBX[29]), SSSE3 or "
+                    "SSE4.1, or the build is not x86-64";
+  }
+  EXPECT_EQ(detail::sha256_selected_kernel(), accelerated);
+  Rng rng(10);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::uint32_t state[8];
+    for (std::uint32_t& word : state)
+      word = static_cast<std::uint32_t>(rng.next_u64());
+    std::uint32_t expected[8];
+    std::copy(std::begin(state), std::end(state), expected);
+    const std::size_t nblocks = 1 + rng.uniform(8);
+    const Bytes data = rng.bytes(64 * nblocks);
+    detail::sha256_compress_portable(expected, data.data(), nblocks);
+    accelerated(state, data.data(), nblocks);
+    ASSERT_TRUE(std::equal(std::begin(state), std::end(state), expected))
+        << "trial=" << trial << " nblocks=" << nblocks;
   }
 }
 
@@ -59,18 +94,6 @@ TEST(Sha256, ResetReusesObject) {
   h.update(to_bytes("abc"));
   EXPECT_EQ(digest_hex(h.finish()),
             "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
-}
-
-TEST(Sha256, BoundaryLengths) {
-  // Messages near the 64-byte block and 56-byte padding boundaries.
-  Rng rng(7);
-  for (std::size_t len : {55u, 56u, 57u, 63u, 64u, 65u, 119u, 120u, 128u}) {
-    const Bytes msg = rng.bytes(len);
-    Sha256 a;
-    a.update(ByteView(msg).subspan(0, len / 2));
-    a.update(ByteView(msg).subspan(len / 2));
-    EXPECT_EQ(a.finish(), sha256(msg)) << "len=" << len;
-  }
 }
 
 TEST(Sha256, DistinctInputsDistinctDigests) {

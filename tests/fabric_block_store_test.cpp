@@ -2,8 +2,11 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <vector>
 
 #include "common/crc32.hpp"
+#include "common/rng.hpp"
+#include "crc32_oracle.hpp"
 #include "fabric/block_store.hpp"
 #include "fabric/validator.hpp"
 #include "workload/network_harness.hpp"
@@ -48,6 +51,36 @@ TEST(Crc32, KnownVectors) {
   std::uint32_t crc = crc32(ByteView(data).subspan(0, 5));
   crc = crc32_update(crc, ByteView(data).subspan(5));
   EXPECT_EQ(crc, crc32(data));
+}
+
+// Every length across the 8-byte stride plus a 4 KiB frame, from each start
+// offset 0-7 (every load alignment), one-shot and as two chained updates.
+TEST(Crc32, SlicingMatchesBytewise) {
+  const Bytes buf = Rng(41).bytes(4096 + 8);
+  std::vector<std::size_t> lengths;
+  for (std::size_t len = 0; len <= 64; ++len) lengths.push_back(len);
+  lengths.push_back(4096);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (const std::size_t len : lengths) {
+      const ByteView data = ByteView(buf).subspan(offset, len);
+      const std::uint32_t expected = crc32_bytewise(0, data);
+      ASSERT_EQ(crc32(data), expected)
+          << "offset=" << offset << " len=" << len;
+      std::vector<std::size_t> splits;
+      if (len <= 64) {
+        for (std::size_t split = 0; split <= len; ++split)
+          splits.push_back(split);
+      } else {
+        splits = {1, 7, 8, 9, 1000, len / 2, len - 1};
+      }
+      for (const std::size_t split : splits) {
+        const std::uint32_t head = crc32_update(0, data.subspan(0, split));
+        ASSERT_EQ(head, crc32_bytewise(0, data.subspan(0, split)));
+        ASSERT_EQ(crc32_update(head, data.subspan(split)), expected)
+            << "offset=" << offset << " len=" << len << " split=" << split;
+      }
+    }
+  }
 }
 
 TEST_F(StoreFixture, PersistAndRecover) {
