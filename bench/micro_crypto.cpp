@@ -11,6 +11,7 @@
 #include "common/rng.hpp"
 #include "crypto/der.hpp"
 #include "crypto/ecdsa.hpp"
+#include "crypto/montgomery.hpp"
 #include "crypto_oracles.hpp"
 
 namespace {
@@ -91,6 +92,20 @@ void BM_FieldMul(benchmark::State& state) {
 }
 BENCHMARK(BM_FieldMul);
 
+void BM_FieldMulMontgomery(benchmark::State& state) {
+  // The kernel under every point formula, inlined here on the constexpr p
+  // instance as p256.cpp inlines it: one Montgomery multiply per iteration,
+  // where the public fp_mul above pays two plus a call.
+  Rng rng(2);
+  U256 a = mod(U256::from_bytes_be(rng.bytes(32)), p256_p());
+  const U256 b = mod(U256::from_bytes_be(rng.bytes(32)), p256_p());
+  for (auto _ : state) {
+    a = detail::mont_mul(a, b, detail::kModP);
+    benchmark::DoNotOptimize(a);
+  }
+}
+BENCHMARK(BM_FieldMulMontgomery);
+
 void BM_FieldInv(benchmark::State& state) {
   Rng rng(3);
   U256 a = mod(U256::from_bytes_be(rng.bytes(32)), p256_p());
@@ -154,6 +169,21 @@ void BM_DoubleScalarMult(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DoubleScalarMult);
+
+void BM_CombDoubleMult(benchmark::State& state) {
+  // u1*G + u2*Q on a prebuilt comb table, without the scalar inverse: the
+  // point arithmetic of one comb verify.
+  const AffinePoint q = key_from_seed(to_bytes("dsm")).public_key().point;
+  const PointCombTable table = PointCombTable::build(q);
+  Rng rng(7);
+  const U256 u1 = mod(U256::from_bytes_be(rng.bytes(32)), p256_n());
+  const U256 u2 = mod(U256::from_bytes_be(rng.bytes(32)), p256_n());
+  benchmark::DoNotOptimize(double_scalar_mult_comb(u1, u2, table));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(double_scalar_mult_comb(u1, u2, table));
+  }
+}
+BENCHMARK(BM_CombDoubleMult);
 
 }  // namespace
 

@@ -1,8 +1,12 @@
 // NIST P-256 (secp256r1) curve arithmetic.
 //
-// Field elements are U256 values < p with a dedicated fast reduction for the
-// NIST prime (Hankerson et al., Alg. 2.29). Points use Jacobian projective
-// coordinates; the point at infinity is represented by Z = 0.
+// The public types and functions here work in standard form: field elements
+// are U256 values < p and points hold their plain coordinates. Inside
+// p256.cpp every field element is kept in Montgomery form (x*2^256 mod p)
+// and multiplied by the inlined kernel of crypto/montgomery.hpp; values
+// enter that form at table build and on entry to a scalar multiplication
+// and leave it at the end. Points use Jacobian projective coordinates; the
+// point at infinity is represented by Z = 0.
 #pragma once
 
 #include <vector>
@@ -16,14 +20,15 @@ const U256& p256_p();
 const U256& p256_n();
 const U256& p256_b();
 
-/// Field arithmetic mod p (inputs must be < p).
+/// Field arithmetic mod p on standard-form values (inputs must be < p).
+/// fp_mul is two Montgomery multiplies (a*b*R^-1, then times R^2); fp_inv
+/// is an addition chain of 255 squarings and 12 multiplies in Montgomery
+/// form. fp_inv(0) is 0.
 U256 fp_add(const U256& a, const U256& b);
 U256 fp_sub(const U256& a, const U256& b);
 U256 fp_mul(const U256& a, const U256& b);
 U256 fp_sqr(const U256& a);
 U256 fp_inv(const U256& a);
-/// Fast reduction of a 512-bit product modulo the P-256 prime.
-U256 fp_reduce(const U512& a);
 
 struct AffinePoint {
   U256 x;
@@ -40,6 +45,27 @@ struct JacobianPoint {
 
   bool is_infinity() const { return z.is_zero(); }
 };
+
+namespace detail {
+
+/// A field element in Montgomery form, x*2^256 mod p. Only p256.cpp does
+/// arithmetic on it; being its own type keeps it from mixing with
+/// standard-form U256 values.
+struct Fe {
+  U256 v;
+
+  friend bool operator==(const Fe&, const Fe&) = default;
+};
+
+/// An affine point with Montgomery-form coordinates: the comb tables'
+/// entry type.
+struct MontAffinePoint {
+  Fe x;
+  Fe y;
+  bool infinity = false;
+};
+
+}  // namespace detail
 
 /// The group generator G.
 const AffinePoint& p256_generator();
@@ -90,14 +116,16 @@ class PointCombTable {
   /// first.
   JacobianPoint mult(const U256& k) const;
 
-  /// Comb entry d (1..255): sum over set bits t of d of 2^(32t) * P.
-  const AffinePoint& entry(unsigned d) const { return entries_[d]; }
-
  private:
+  friend JacobianPoint double_scalar_mult_comb(const U256& u1, const U256& u2,
+                                               const PointCombTable& q);
+
   PointCombTable() = default;
 
   AffinePoint point_{{}, {}, true};
-  std::vector<AffinePoint> entries_;  ///< 256 entries; entry 0 unused
+  /// 256 entries in Montgomery form, entry 0 unused: entry d (1..255) is
+  /// the sum over set bits t of d of 2^(32t) * P.
+  std::vector<detail::MontAffinePoint> entries_;
 };
 
 /// u1*G + u2*Q with Q on a prebuilt comb table: ONE shared 31-doubling

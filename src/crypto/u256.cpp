@@ -3,6 +3,8 @@
 #include <cassert>
 #include <stdexcept>
 
+#include "crypto/montgomery.hpp"
+
 namespace bm::crypto {
 
 U256 U256::from_u64(std::uint64_t v) {
@@ -49,14 +51,6 @@ Bytes U256::to_bytes_be() const {
       out[(3 - limb) * 8 + i] =
           static_cast<std::uint8_t>(w[limb] >> (56 - 8 * i));
   return out;
-}
-
-bool U256::is_zero() const {
-  return (w[0] | w[1] | w[2] | w[3]) == 0;
-}
-
-bool U256::bit(int i) const {
-  return (w[i / 64] >> (i % 64)) & 1;
 }
 
 int U256::top_bit() const {
@@ -222,83 +216,36 @@ U256 mul_mod(const U256& a, const U256& b, const U256& m) {
 
 namespace {
 
-/// -m^-1 mod 2^64 for odd m0, by Newton iteration: an odd x is its own
-/// inverse mod 8, and each step x *= 2 - m0*x doubles the correct low bits
-/// (3 -> 6 -> 12 -> 24 -> 48 -> 96).
-std::uint64_t neg_inv64(std::uint64_t m0) {
-  std::uint64_t x = m0;
-  for (int i = 0; i < 5; ++i) x *= 2 - m0 * x;
-  return 0 - x;
-}
-
-/// Montgomery product a*b*2^-256 mod m for odd m and a, b < m (CIOS,
-/// Koc et al. 1996). The intermediate stays below 2m in five limbs; the
-/// final subtraction of m is a mask select, not a branch.
-U256 mont_mul(const U256& a, const U256& b, const U256& m, std::uint64_t m_inv) {
-  std::uint64_t t[6] = {};
-  for (int i = 0; i < 4; ++i) {
-    unsigned __int128 c = 0;
-    for (int j = 0; j < 4; ++j) {
-      c += static_cast<unsigned __int128>(a.w[j]) * b.w[i] + t[j];
-      t[j] = static_cast<std::uint64_t>(c);
-      c >>= 64;
-    }
-    c += t[4];
-    t[4] = static_cast<std::uint64_t>(c);
-    t[5] = static_cast<std::uint64_t>(c >> 64);
-
-    // Add q*m so the low limb vanishes, then shift down one limb.
-    const std::uint64_t q = t[0] * m_inv;
-    c = (static_cast<unsigned __int128>(q) * m.w[0] + t[0]) >> 64;
-    for (int j = 1; j < 4; ++j) {
-      c += static_cast<unsigned __int128>(q) * m.w[j] + t[j];
-      t[j - 1] = static_cast<std::uint64_t>(c);
-      c >>= 64;
-    }
-    c += t[4];
-    t[3] = static_cast<std::uint64_t>(c);
-    t[4] = t[5] + static_cast<std::uint64_t>(c >> 64);
-  }
-  const U256 r{{t[0], t[1], t[2], t[3]}};
-  U256 d;
-  const std::uint64_t borrow = sub(d, r, m);
-  // Keep r only when the five-limb value is below m: no fifth limb and the
-  // four-limb subtraction borrowed.
-  const std::uint64_t keep_r = 0 - (borrow & (t[4] ^ 1));
-  U256 out;
-  for (int i = 0; i < 4; ++i) out.w[i] = (r.w[i] & keep_r) | (d.w[i] & ~keep_r);
-  return out;
-}
-
-}  // namespace
-
-U256 pow_mod(const U256& a, const U256& e, const U256& m) {
-  if ((m.w[0] & 1) == 0 || (m.w[0] < 3 && (m.w[1] | m.w[2] | m.w[3]) == 0))
-    throw std::invalid_argument("pow_mod needs an odd modulus >= 3");
-  const std::uint64_t m_inv = neg_inv64(m.w[0]);
-
-  // R = 2^256. R^2 mod m = 2 * (2^511 mod m) mod m: one division per call.
-  U512 half_r2;
-  half_r2.w[7] = std::uint64_t{1} << 63;
-  const U256 h = mod(half_r2, m);
-  const U256 r2 = add_mod(h, h, m);
-
-  // Window table in Montgomery form: tbl[i] = a^i * R mod m.
-  const U256 base = cmp(a, m) >= 0 ? mod(a, m) : a;
+/// a^e mod m over the Montgomery kernel, fixed 4-bit windows. Inlined per
+/// call site so that the P-256 instances fold their constants into it.
+[[gnu::always_inline]] inline U256 pow_mont(const U256& a, const U256& e,
+                                            const detail::Modulus& M) {
+  // Window table in Montgomery form: tbl[i] = a^i * R mod m. to_mont
+  // reduces any 256-bit a.
   std::array<U256, 16> tbl;
-  tbl[0] = mont_mul(U256::from_u64(1), r2, m, m_inv);
-  tbl[1] = mont_mul(base, r2, m, m_inv);
-  for (int i = 2; i < 16; ++i) tbl[i] = mont_mul(tbl[i - 1], tbl[1], m, m_inv);
+  tbl[0] = detail::to_mont(U256::from_u64(1), M);
+  tbl[1] = detail::to_mont(a, M);
+  for (int i = 2; i < 16; ++i) tbl[i] = detail::mont_mul(tbl[i - 1], tbl[1], M);
 
   // Fixed 4-bit windows over all 256 exponent bits, most significant first:
   // the same square/multiply schedule for every exponent.
   const auto window = [&](int i) { return (e.w[i / 16] >> (4 * (i % 16))) & 15; };
   U256 acc = tbl[window(63)];
   for (int i = 62; i >= 0; --i) {
-    for (int s = 0; s < 4; ++s) acc = mont_mul(acc, acc, m, m_inv);
-    acc = mont_mul(acc, tbl[window(i)], m, m_inv);
+    for (int s = 0; s < 4; ++s) acc = detail::mont_mul(acc, acc, M);
+    acc = detail::mont_mul(acc, tbl[window(i)], M);
   }
-  return mont_mul(acc, U256::from_u64(1), m, m_inv);
+  return detail::from_mont(acc, M);
+}
+
+}  // namespace
+
+U256 pow_mod(const U256& a, const U256& e, const U256& m) {
+  if (m == detail::kModN.m) return pow_mont(a, e, detail::kModN);
+  if (m == detail::kModP.m) return pow_mont(a, e, detail::kModP);
+  if ((m.w[0] & 1) == 0 || (m.w[0] < 3 && (m.w[1] | m.w[2] | m.w[3]) == 0))
+    throw std::invalid_argument("pow_mod needs an odd modulus >= 3");
+  return pow_mont(a, e, detail::make_modulus(m));
 }
 
 U256 inv_mod_prime(const U256& a, const U256& m) {

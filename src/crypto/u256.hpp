@@ -1,10 +1,10 @@
 // Fixed-width 256-bit unsigned arithmetic for the P-256 implementation.
 //
 // Little-endian 64-bit limbs (w[0] is least significant). Wide products use
-// a 512-bit struct; modular reduction is the generic limb-wise division (a
-// handful of calls per signature on the scalar field), Montgomery
-// multiplication inside pow_mod, or the dedicated fast reduction for the
-// NIST P-256 prime in p256.cpp.
+// a 512-bit struct. Two reductions exist: the generic limb-wise division
+// behind mod and mul_mod (a handful of calls per signature on the scalar
+// field), and the one Montgomery multiplier (crypto/montgomery.hpp) under
+// pow_mod and all of the P-256 field arithmetic.
 #pragma once
 
 #include <array>
@@ -24,8 +24,9 @@ struct U256 {
   static U256 from_hex(std::string_view hex);
 
   Bytes to_bytes_be() const;  ///< Always 32 bytes.
-  bool is_zero() const;
-  bool bit(int i) const;  ///< i in [0, 255].
+  bool is_zero() const { return (w[0] | w[1] | w[2] | w[3]) == 0; }
+  /// i in [0, 255].
+  bool bit(int i) const { return (w[i / 64] >> (i % 64)) & 1; }
   /// Index of the highest set bit, or -1 if zero.
   int top_bit() const;
 
@@ -66,11 +67,13 @@ U256 mul_mod(const U256& a, const U256& b, const U256& m);
 
 /// a^e mod m for an odd modulus m >= 3 (throws std::invalid_argument
 /// otherwise); a may be >= m. Montgomery multiplication under a fixed 4-bit
-/// window: 252 squarings and 80 other multiplications whatever e is, and one
-/// generic division to set up.
+/// window: 252 squarings and 80 other multiplications whatever e is. For
+/// the P-256 prime and group order the kernel runs on their compile-time
+/// constants; any other modulus derives its constants per call.
 U256 pow_mod(const U256& a, const U256& e, const U256& m);
 
-/// a^(m-2) mod m — modular inverse when m is an odd prime and a != 0.
+/// a^(m-2) mod m — modular inverse when m is an odd prime and a != 0. With
+/// m = n this is the scalar inverse of sign (k^-1) and verify (s^-1).
 U256 inv_mod_prime(const U256& a, const U256& m);
 
 }  // namespace bm::crypto

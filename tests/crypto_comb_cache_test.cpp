@@ -4,6 +4,8 @@
 // scalars and cache eviction churn.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/rng.hpp"
 #include "crypto/comb_cache.hpp"
 #include "crypto/ecdsa.hpp"
@@ -73,6 +75,35 @@ TEST(PointCombTable, DoubleScalarMatchesGeneric) {
   EXPECT_EQ(to_affine(double_scalar_mult_comb(u, U256{}, table)),
             to_affine(double_scalar_mult(u, U256{}, q)));
   EXPECT_TRUE(double_scalar_mult_comb(U256{}, U256{}, table).is_infinity());
+}
+
+TEST(PointCombTable, ExceptionalBranchesOnGeneratorTable) {
+  // A table on G itself makes both lookups of a column read the same
+  // entries. With u1 = u2 the second mixed add of the first nonzero column
+  // meets its own input and must take the in-loop doubling; with
+  // u2 = n - u1 the walk sums to n*G and must leave through the P + (-P)
+  // branch. Zero scalars leave one side of the walk.
+  Rng rng(15);
+  const AffinePoint& g = p256_generator();
+  const PointCombTable table = PointCombTable::build(g);
+  const auto naive = [&](const U256& u1, const U256& u2) {
+    return to_affine(point_add(scalar_mult_naive(u1, g), scalar_mult_naive(u2, g)));
+  };
+  std::vector<U256> scalars = {U256::from_u64(1), U256::from_u64(0xff)};
+  for (int i = 0; i < 4; ++i)
+    scalars.push_back(mod(U256::from_bytes_be(rng.bytes(32)), p256_n()));
+  for (const U256& u : scalars) {
+    U256 n_minus_u;
+    sub(n_minus_u, p256_n(), u);
+    EXPECT_EQ(to_affine(double_scalar_mult_comb(u, u, table)), naive(u, u));
+    EXPECT_TRUE(double_scalar_mult_comb(u, n_minus_u, table).is_infinity());
+    EXPECT_EQ(to_affine(double_scalar_mult_comb(u, n_minus_u, table)),
+              naive(u, n_minus_u));
+    EXPECT_EQ(to_affine(double_scalar_mult_comb(U256{}, u, table)),
+              naive(U256{}, u));
+    EXPECT_EQ(to_affine(double_scalar_mult_comb(u, U256{}, table)),
+              naive(u, U256{}));
+  }
 }
 
 TEST(VerifyComb, MatchesGenericVerify) {

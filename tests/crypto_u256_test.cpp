@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "crypto/montgomery.hpp"
 #include "crypto/p256.hpp"
 #include "crypto/u256.hpp"
 #include "crypto_oracles.hpp"
@@ -175,33 +176,217 @@ TEST(U256, InverseModPrime) {
   }
 }
 
-TEST(P256, FastReductionMatchesGenericMod) {
-  // fp_reduce is the dedicated NIST-prime reduction; cross-check against the
-  // generic shift-subtract division on random products a*b with a,b < p.
-  Rng rng(8);
-  const U256& p = p256_p();
-  for (int i = 0; i < 500; ++i) {
-    const U256 a = mod(random_u256(rng), p);
-    const U256 b = mod(random_u256(rng), p);
-    const U512 wide = mul_wide(a, b);
-    EXPECT_EQ(fp_reduce(wide), mod(wide, p));
+U256 low_half(const U512& x) { return U256{{x.w[0], x.w[1], x.w[2], x.w[3]}}; }
+
+/// R mod m for R = 2^256, by the generic division.
+U256 r_mod(const U256& m) {
+  U512 r;
+  r.w[4] = 1;
+  return mod(r, m);
+}
+
+/// The Montgomery reduction of a*b before its final subtraction, computed at
+/// full width: t = (a*b + Q*m) / R with Q = a*b*(-m^-1) mod R, the unique
+/// Q < R that clears the low half. The word-serial kernel reaches the same
+/// t; it lies below 2m and may need a fifth limb (t >= R).
+struct Unreduced {
+  U256 low;
+  bool fifth_limb = false;
+};
+
+Unreduced mont_unreduced(const U256& a, const U256& b, const U256& m) {
+  // m^-1 mod R by Newton: x = x*(2 - m*x) doubles the correct low bits.
+  U256 x = m;
+  for (int i = 0; i < 8; ++i) {
+    U256 two_minus;
+    sub(two_minus, U256::from_u64(2), low_half(mul_wide(m, x)));
+    x = low_half(mul_wide(x, two_minus));
+  }
+  U256 neg_inv;
+  sub(neg_inv, U256{}, x);
+  const U512 ab = mul_wide(a, b);
+  const U512 qm = mul_wide(low_half(mul_wide(low_half(ab), neg_inv)), m);
+  U512 sum;
+  unsigned __int128 c = 0;
+  for (int i = 0; i < 8; ++i) {
+    c += static_cast<unsigned __int128>(ab.w[i]) + qm.w[i];
+    sum.w[i] = static_cast<std::uint64_t>(c);
+    c >>= 64;
+  }
+  EXPECT_TRUE(low_half(sum).is_zero());
+  return {U256{{sum.w[4], sum.w[5], sum.w[6], sum.w[7]}}, c != 0};
+}
+
+/// Which arm of the kernel's final select an input takes.
+enum class Arm { kKeep, kSubtract, kSubtractFifthLimb };
+
+/// Checks mont_mul(a, b) for a < R, b < m against the Knuth-D mul_mod
+/// (result * R == a * b mod m) and against the full-width reduction above,
+/// and reports the arm of the final select.
+Arm check_kernel(const U256& a, const U256& b, const detail::Modulus& M) {
+  const U256 got = detail::mont_mul(a, b, M);
+  EXPECT_LT(cmp(got, M.m), 0);
+  EXPECT_EQ(mul_mod(got, r_mod(M.m), M.m), mul_mod(a, b, M.m))
+      << "m=" << M.m.w[0] << " a=" << a.w[0] << " b=" << b.w[0];
+  const Unreduced t = mont_unreduced(a, b, M.m);
+  U256 expected = t.low;
+  if (t.fifth_limb || cmp(t.low, M.m) >= 0) sub(expected, t.low, M.m);
+  EXPECT_EQ(got, expected);
+  if (t.fifth_limb) return Arm::kSubtractFifthLimb;
+  return cmp(t.low, M.m) >= 0 ? Arm::kSubtract : Arm::kKeep;
+}
+
+TEST(Montgomery, ConstantsMatchGenericDivision) {
+  for (const detail::Modulus& M : {detail::kModP, detail::kModN}) {
+    EXPECT_EQ(M.m.w[0] * M.m_inv, ~std::uint64_t{0});
+    const U256 r = r_mod(M.m);
+    EXPECT_EQ(M.r2, mul_mod(r, r, M.m));
+    const detail::Modulus runtime = detail::make_modulus(M.m);
+    EXPECT_EQ(runtime.m_inv, M.m_inv);
+    EXPECT_EQ(runtime.r2, M.r2);
+  }
+  EXPECT_EQ(detail::kModP.m, p256_p());
+  EXPECT_EQ(detail::kModN.m, p256_n());
+  EXPECT_EQ(detail::kModP.m_inv, 1u);
+}
+
+TEST(Montgomery, KernelMatchesMulModOnCurveAndRandomModuli) {
+  // The fixed-modulus p and n instances, plus random odd moduli of every
+  // limb width through make_modulus. Edge operands 0, 1, m-1 and R mod m
+  // in every pairing, then random operands; for p and n also operands with
+  // a*b = delta*R (mod m) and a*b > delta*R, whose unreduced value is
+  // exactly m + delta: the subtract arm without a fifth limb, which random
+  // operands almost never reach when m is this close to R.
+  Rng rng(15);
+  std::vector<detail::Modulus> moduli = {detail::kModP, detail::kModN};
+  for (int limbs = 1; limbs <= 4; ++limbs) {
+    for (int i = 0; i < 3; ++i) {
+      U256 m;
+      for (int j = 0; j < limbs; ++j) m.w[j] = rng.next_u64();
+      m.w[limbs - 1] |= std::uint64_t{1} << 63;
+      m.w[0] |= 1;
+      moduli.push_back(detail::make_modulus(m));
+    }
+  }
+  int total[3] = {};
+  for (std::size_t k = 0; k < moduli.size(); ++k) {
+    const detail::Modulus& M = moduli[k];
+    int arms[3] = {};
+    const auto run = [&](const U256& a, const U256& b) {
+      ++arms[static_cast<int>(check_kernel(a, b, M))];
+    };
+    U256 m_minus_1;
+    sub(m_minus_1, M.m, U256::from_u64(1));
+    const std::vector<U256> edges = {U256{}, U256::from_u64(1), m_minus_1,
+                                     r_mod(M.m)};
+    for (const U256& a : edges)
+      for (const U256& b : edges) run(a, b);
+    for (int i = 0; i < 300; ++i)
+      run(mod(random_u256(rng), M.m), mod(random_u256(rng), M.m));
+    if (k < 2) {
+      for (std::uint64_t delta = 1; delta <= 20; ++delta) {
+        const U256 b = mod(random_u256(rng), M.m);
+        const U256 a = mul_mod(mul_mod(U256::from_u64(delta), r_mod(M.m), M.m),
+                               inv_mod_prime(b, M.m), M.m);
+        const U512 ab = mul_wide(a, b);
+        if (ab.w[4] <= delta && (ab.w[5] | ab.w[6] | ab.w[7]) == 0) continue;
+        const Unreduced t = mont_unreduced(a, b, M.m);
+        U256 m_plus_delta;
+        add(m_plus_delta, M.m, U256::from_u64(delta));
+        EXPECT_EQ(t.low, m_plus_delta);
+        run(a, b);
+      }
+      // The P-256 moduli sit just below R: both subtract arms and the keep
+      // arm must each have been driven.
+      for (int arm = 0; arm < 3; ++arm)
+        EXPECT_GT(arms[arm], 0) << "modulus " << k << " arm " << arm;
+    }
+    for (int arm = 0; arm < 3; ++arm) total[arm] += arms[arm];
+  }
+  for (int arm = 0; arm < 3; ++arm) EXPECT_GT(total[arm], 20) << arm;
+}
+
+TEST(Montgomery, KernelCarriesOutOfTheFifthLimb) {
+  // Adding q*m carries out of the fifth limb only when that limb is all
+  // ones, which needs a first operand near R: m just below R, a = R - 1 and
+  // limbs of b equal to 2^64 - 1 get there. With the P-256 moduli and
+  // operands below m the limb stays below 2^64 - 1.
+  Rng rng(19);
+  U256 all_ones;
+  for (auto& w : all_ones.w) w = ~std::uint64_t{0};
+  for (std::uint64_t k = 3; k < 40; k += 2) {
+    U256 m;
+    sub(m, U256{}, U256::from_u64(k));
+    const detail::Modulus M = detail::make_modulus(m);
+    U256 m_minus_1;
+    sub(m_minus_1, m, U256::from_u64(1));
+    check_kernel(all_ones, m_minus_1, M);
+    check_kernel(all_ones, mod(random_u256(rng), m), M);
   }
 }
 
-TEST(P256, FastReductionEdgeCases) {
+TEST(Montgomery, KernelTakesAnyFirstOperand) {
+  // to_mont multiplies by R^2 mod m, so it also reduces inputs >= m.
+  Rng rng(16);
+  U256 all_ones;
+  for (auto& w : all_ones.w) w = ~std::uint64_t{0};
+  for (const detail::Modulus& M : {detail::kModP, detail::kModN}) {
+    for (const U256& a : {all_ones, M.m, random_u256(rng), random_u256(rng)})
+      check_kernel(a, M.r2, M);
+  }
+}
+
+TEST(Montgomery, RoundTrip) {
+  Rng rng(17);
+  U256 all_ones;
+  for (auto& w : all_ones.w) w = ~std::uint64_t{0};
+  for (const detail::Modulus& M : {detail::kModP, detail::kModN}) {
+    U256 m_minus_1;
+    sub(m_minus_1, M.m, U256::from_u64(1));
+    std::vector<U256> values = {U256{}, U256::from_u64(1), m_minus_1};
+    for (int i = 0; i < 50; ++i) values.push_back(mod(random_u256(rng), M.m));
+    for (const U256& a : values) {
+      const U256 am = detail::to_mont(a, M);
+      EXPECT_EQ(am, mul_mod(a, r_mod(M.m), M.m));
+      EXPECT_EQ(detail::from_mont(am, M), a);
+    }
+    EXPECT_EQ(detail::to_mont(all_ones, M), mul_mod(all_ones, r_mod(M.m), M.m));
+  }
+}
+
+TEST(Montgomery, InversesMatchDivisionOracle) {
+  // fp_inv's addition chain on the p instance and the fixed-window scalar
+  // inverse on the n (and p) instances, against square-and-multiply over
+  // the generic division.
+  Rng rng(18);
+  for (const U256& m : {p256_p(), p256_n()}) {
+    U256 m_minus_1, m_minus_2;
+    sub(m_minus_1, m, U256::from_u64(1));
+    sub(m_minus_2, m, U256::from_u64(2));
+    std::vector<U256> values = {U256{}, U256::from_u64(1), m_minus_1};
+    for (int i = 0; i < 8; ++i) values.push_back(mod(random_u256(rng), m));
+    for (const U256& a : values) {
+      const U256 expected = pow_mod_division(a, m_minus_2, m);
+      EXPECT_EQ(inv_mod_prime(a, m), expected);
+      if (m == p256_p()) {
+        EXPECT_EQ(fp_inv(a), expected);
+      }
+    }
+  }
+}
+
+TEST(P256, FieldMulEdgeCases) {
   const U256& p = p256_p();
+  const U256 one = U256::from_u64(1);
   U256 p_minus_1;
-  sub(p_minus_1, p, U256::from_u64(1));
-
-  // 0, 1, (p-1)^2, p*p-ish values.
-  EXPECT_EQ(fp_reduce(U512{}), U256{});
-  EXPECT_EQ(fp_reduce(mul_wide(p_minus_1, p_minus_1)),
-            mod(mul_wide(p_minus_1, p_minus_1), p));
-  EXPECT_EQ(fp_reduce(mul_wide(p, p)), U256{});
-
-  U512 max;
-  for (auto& w : max.w) w = ~0ull;
-  EXPECT_EQ(fp_reduce(max), mod(max, p));
+  sub(p_minus_1, p, one);
+  EXPECT_EQ(fp_mul(U256{}, U256{}), U256{});
+  EXPECT_EQ(fp_mul(U256{}, p_minus_1), U256{});
+  EXPECT_EQ(fp_mul(p_minus_1, p_minus_1), mul_mod(p_minus_1, p_minus_1, p));
+  EXPECT_EQ(fp_mul(p_minus_1, p_minus_1), one);
+  EXPECT_EQ(fp_mul(p_minus_1, one), p_minus_1);
+  EXPECT_EQ(fp_mul(one, p_minus_1), p_minus_1);
+  EXPECT_EQ(fp_sqr(p_minus_1), one);
 }
 
 TEST(P256, FieldOpsConsistency) {
@@ -214,8 +399,9 @@ TEST(P256, FieldOpsConsistency) {
     EXPECT_EQ(fp_add(a, b), add_mod(a, b, p));
     EXPECT_EQ(fp_sub(a, b), sub_mod(a, b, p));
     EXPECT_EQ(fp_sqr(a), fp_mul(a, a));
-    if (!a.is_zero())
+    if (!a.is_zero()) {
       EXPECT_EQ(fp_mul(a, fp_inv(a)), U256::from_u64(1));
+    }
   }
 }
 
