@@ -11,12 +11,12 @@
 //          already-covered prefix with framing-only checks and replay only
 //          the records past it.
 //
-// Both recoveries must reproduce the builder's reference tail commit hash
-// byte for byte (the §4.1 oracle) — that equality, at every length and on
-// every repetition, is the exit code. The full run's acceptance bound is
-// snap beating full by >= 5x at the 10k-block point; --quick (the CI smoke)
-// keeps the equality oracle but drops the timing bound, which would be
-// noise at smoke sizes.
+// Both recoveries must reproduce the builder's reference chain byte for
+// byte (fabric::chain_divergence, the §4.1 oracle) — that equality, at
+// every length and on every repetition, is the exit code. The full run's
+// acceptance bound is snap beating full by >= 5x at the 10k-block point;
+// --quick (the CI smoke) keeps the equality oracle but drops the timing
+// bound, which would be noise at smoke sizes.
 //
 // Emits one JSON row per length (stdout, and --out FILE when given).
 #include <chrono>
@@ -47,7 +47,7 @@ struct Row {
   std::uint64_t snap_replayed = 0;
   double full_ms = 0;
   double snap_ms = 0;
-  bool tails_ok = false;  ///< both paths reproduced the reference tail
+  bool tails_ok = false;  ///< both paths reproduced the reference chain
   double speedup() const { return snap_ms > 0 ? full_ms / snap_ms : 0; }
 };
 
@@ -101,7 +101,7 @@ int main(int argc, char** argv) {
   for (const std::uint64_t length : lengths) {
     while (harness.reference_ledger().height() < length) harness.next_block();
     harness.durable()->sync();
-    const crypto::Digest& want = harness.reference_ledger().last_commit_hash();
+    const fabric::Ledger& want = harness.reference_ledger();
 
     Row row;
     row.blocks = length;
@@ -121,7 +121,7 @@ int main(int argc, char** argv) {
         if (rep == 0 || elapsed_ms < row.full_ms) row.full_ms = elapsed_ms;
         row.tails_ok = row.tails_ok && replayed &&
                        ledger.height() == length &&
-                       ledger.last_commit_hash() == want;
+                       fabric::chain_divergence(ledger, want).empty();
       }
       // Snapshot recovery: restore + skip the covered prefix + replay rest.
       {
@@ -135,7 +135,7 @@ int main(int argc, char** argv) {
         row.snap_replayed = result.blocks_replayed;
         row.tails_ok = row.tails_ok && result.ok && result.used_snapshot &&
                        ledger.height() == length &&
-                       ledger.last_commit_hash() == want;
+                       fabric::chain_divergence(ledger, want).empty();
       }
     }
 

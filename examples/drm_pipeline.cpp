@@ -7,6 +7,7 @@
 //   $ ./drm_pipeline
 #include <cstdio>
 #include <map>
+#include <string>
 
 #include "bmac/peer.hpp"
 #include "fabric/validator.hpp"
@@ -61,14 +62,18 @@ int main() {
   for (const auto& [code, count] : outcomes)
     std::printf("  %-28s %d\n", fabric::tx_validation_code_name(code), count);
 
-  // Cross-check the hardware peer agreed on every flag.
-  bool match = true;
-  for (std::uint64_t i = 0; i < sw_ledger.height(); ++i)
-    match = match && sw_ledger.at(i).block.metadata.tx_flags ==
-                         peer.ledger().at(i).block.metadata.tx_flags;
-  std::printf("\nhw/sw flag agreement across %llu blocks: %s\n",
+  // Cross-check the hardware peer committed the same chain: every flag and
+  // every commit hash.
+  const std::string divergence =
+      peer.ledger().height() != sw_ledger.height()
+          ? "bmac height " + std::to_string(peer.ledger().height()) +
+                " != software " + std::to_string(sw_ledger.height())
+          : fabric::chain_divergence(peer.ledger(), sw_ledger);
+  const bool match = divergence.empty();
+  std::printf("\nhw/sw flag agreement across %llu blocks: %s%s%s\n",
               static_cast<unsigned long long>(sw_ledger.height()),
-              match ? "PASS" : "FAIL");
+              match ? "PASS" : "FAIL", match ? "" : ": ",
+              divergence.c_str());
 
   // The history database (validation step 5): who wrote asset_7?
   std::printf("\nhistory of drm assets (key -> writers):\n");

@@ -80,13 +80,11 @@ int main() {
                 hw_result.stats.ecdsa_executed, hw_result.stats.ecdsa_skipped);
   }
 
-  // 5. The consistency check: flags and commit hashes must be identical.
-  bool match = sw_ledger.height() == bmac_peer.ledger().height();
-  for (std::uint64_t i = 0; match && i < sw_ledger.height(); ++i) {
-    match = sw_ledger.at(i).block.metadata.tx_flags ==
-                bmac_peer.ledger().at(i).block.metadata.tx_flags &&
-            sw_ledger.at(i).commit_hash == bmac_peer.ledger().at(i).commit_hash;
-  }
+  // 5. The consistency check: equal heights, and flags and commit hashes
+  //    identical block by block (fabric::chain_divergence).
+  const bool match =
+      sw_ledger.height() == bmac_peer.ledger().height() &&
+      fabric::chain_divergence(bmac_peer.ledger(), sw_ledger).empty();
   std::printf("\ncommit hash (sw)  : %s\n",
               hex_encode(crypto::digest_view(sw_ledger.last().commit_hash))
                   .c_str());

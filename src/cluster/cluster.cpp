@@ -8,21 +8,6 @@
 
 namespace bm::cluster {
 
-namespace {
-
-std::string hex_of(const crypto::Digest& digest) {
-  static const char* kHex = "0123456789abcdef";
-  std::string out;
-  out.reserve(digest.size() * 2);
-  for (const std::uint8_t byte : digest) {
-    out.push_back(kHex[byte >> 4]);
-    out.push_back(kHex[byte & 0xF]);
-  }
-  return out;
-}
-
-}  // namespace
-
 ClusterDeployment::ClusterDeployment(sim::Simulation& sim, ClusterConfig config)
     : sim_(sim), config_(std::move(config)) {
   workload::NetworkOptions options;
@@ -151,7 +136,7 @@ void ClusterDeployment::on_block_emitted(fabric::Block block) {
   const std::uint64_t number = block.header.number;
   Bytes payload = block.marshal();
   // Reference pipeline first (in emission order): peers later compare their
-  // own commit hash against this block's reference result.
+  // own chain against the reference chain.
   harness_->commit_block(block);
   // The ordering service delivers to each org's lead peer, which injects
   // the marshaled bytes into the mesh (§2.2's Gossip dissemination).
@@ -195,17 +180,19 @@ void ClusterDeployment::drain(Peer& peer) {
       peer.pending.erase(it);
       continue;
     }
-    const fabric::BlockValidationResult result =
-        peer.backend->validate_and_commit(*block, peer.db, peer.ledger);
+    peer.backend->validate_and_commit(*block, peer.db, peer.ledger);
     ++peer.blocks_committed;
     ++blocks_validated_;
-    const fabric::BlockValidationResult& reference =
-        harness_->reference_result(next);
-    if (result.commit_hash != reference.commit_hash && divergence_.empty())
-      divergence_ = "peer " + std::to_string(peer.id) + ": block " +
-                    std::to_string(next) + " commit hash " +
-                    hex_of(result.commit_hash) + " != reference " +
-                    hex_of(reference.commit_hash);
+    if (divergence_.empty()) {
+      // From `next`: one block per commit, never a walk over the chain.
+      const std::string diverged =
+          peer.ledger.height() == next
+              ? "block " + std::to_string(next) + " rejected"
+              : fabric::chain_divergence(peer.ledger,
+                                         harness_->reference_ledger(), next);
+      if (!diverged.empty())
+        divergence_ = "peer " + std::to_string(peer.id) + ": " + diverged;
+    }
     if (peer.durable) peer.durable->on_commit(peer.ledger, peer.db);
     peer.pending.erase(it);
   }
@@ -294,16 +281,9 @@ bool ClusterDeployment::converged() const {
   const fabric::Ledger& reference = harness_->reference_ledger();
   for (const auto& peer : peers_) {
     if (!peer->online) continue;
-    if (peer->ledger.height() != reference.height()) return false;
-    if (reference.height() == 0) continue;
-    // The tail commit hash chains over everything, including a snapshot
-    // prefix the peer does not hold block-by-block.
-    if (peer->ledger.last_commit_hash() != reference.last_commit_hash())
+    if (peer->ledger.height() != reference.height() ||
+        !fabric::chain_divergence(peer->ledger, reference).empty())
       return false;
-    for (std::uint64_t n = peer->ledger.base_height(); n < reference.height();
-         ++n)
-      if (peer->ledger.at(n).commit_hash != reference.at(n).commit_hash)
-        return false;
   }
   return true;
 }

@@ -9,12 +9,12 @@
 //           -> every peer validates + commits through its own
 //              ValidatorBackend / StateDb / Ledger (+ DurableLedger)
 //
-// The equivalence oracle is the §4.1 divergence check at cluster scale: a
-// FabricNetworkHarness runs the single-peer reference pipeline over the
-// exact emitted block stream, and every peer must reproduce its commit-hash
-// chain byte for byte — across gossip loss, leader re-elections and peers
-// restarted from a snapshot fetched off a healthy neighbour
-// (cluster/state_transfer.hpp).
+// The equivalence oracle is fabric::chain_divergence (the §4.1 check) at
+// cluster scale: a FabricNetworkHarness runs the single-peer reference
+// pipeline over the exact emitted block stream, and every peer must
+// reproduce its commit-hash chain byte for byte — across gossip loss,
+// leader re-elections and peers restarted from a snapshot fetched off a
+// healthy neighbour (cluster/state_transfer.hpp).
 #pragma once
 
 #include <map>

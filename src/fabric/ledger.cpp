@@ -1,6 +1,9 @@
 #include "fabric/ledger.hpp"
 
+#include <algorithm>
 #include <stdexcept>
+
+#include "common/hex.hpp"
 
 namespace bm::fabric {
 
@@ -47,6 +50,56 @@ const CommittedBlock& Ledger::at(std::uint64_t index) const {
 const CommittedBlock& Ledger::last() const {
   if (blocks_.empty()) throw std::out_of_range("ledger is empty");
   return blocks_.back();
+}
+
+namespace {
+
+std::string hex_of(const crypto::Digest& digest) {
+  return hex_encode(crypto::digest_view(digest));
+}
+
+/// Why two flagged copies of one block differ: the first tx whose flag
+/// differs, else bytes outside the flags.
+std::string flag_difference(const Block& mine, const Block& want) {
+  const auto& a = mine.metadata.tx_flags;
+  const auto& b = want.metadata.tx_flags;
+  if (a.size() != b.size())
+    return std::to_string(a.size()) + " txs != reference " +
+           std::to_string(b.size());
+  const auto diff = std::mismatch(a.begin(), a.end(), b.begin());
+  if (diff.first == a.end()) return "same flags, different bytes";
+  return "tx " + std::to_string(diff.first - a.begin()) + " flag " +
+         std::to_string(*diff.first) + " != reference " +
+         std::to_string(*diff.second);
+}
+
+}  // namespace
+
+std::string chain_divergence(const Ledger& chain, const Ledger& reference,
+                             std::uint64_t from) {
+  const std::uint64_t height = chain.height();
+  if (height > reference.height())
+    return "chain height " + std::to_string(height) +
+           " exceeds reference height " + std::to_string(reference.height());
+  for (std::uint64_t h = std::max(from, chain.base_height()); h < height;
+       ++h) {
+    const CommittedBlock& mine = chain.at(h);
+    const CommittedBlock& want = reference.at(h);
+    if (mine.commit_hash != want.commit_hash)
+      return "height " + std::to_string(h) + ": " +
+             flag_difference(mine.block, want.block) + "; commit hash " +
+             hex_of(mine.commit_hash) + " != reference " +
+             hex_of(want.commit_hash);
+  }
+  crypto::Digest want{};  // the empty chain's
+  if (height == reference.height())
+    want = reference.last_commit_hash();
+  else if (height > 0)
+    want = reference.at(height - 1).commit_hash;
+  if (chain.last_commit_hash() != want)
+    return "tail commit hash at height " + std::to_string(height) + " " +
+           hex_of(chain.last_commit_hash()) + " != reference " + hex_of(want);
+  return "";
 }
 
 }  // namespace bm::fabric

@@ -8,6 +8,8 @@
 // from the software-only peer (§4.1).
 #pragma once
 
+#include <string>
+
 #include "fabric/block.hpp"
 
 namespace bm::fabric {
@@ -49,5 +51,17 @@ class Ledger {
   crypto::Digest last_header_hash_{};  // block_hash of the chain tail
   std::uint64_t bytes_written_ = 0;
 };
+
+/// The §4.1 check, the one chain-equivalence oracle: "" when `chain` is
+/// byte-identical to a prefix of `reference`, otherwise the first
+/// divergence — its height, the first tx whose flag differs (or "same
+/// flags, different bytes") and both commit hashes in hex. Every block
+/// `chain` holds at heights [max(from, base_height()), height()) is
+/// compared, then its tail commit hash, which covers a snapshot prefix it
+/// does not hold block by block. A chain taller than `reference` diverges;
+/// a shorter one is a prefix, so callers that need equal heights check them.
+/// `reference` must hold the heights compared (at() throws otherwise).
+std::string chain_divergence(const Ledger& chain, const Ledger& reference,
+                             std::uint64_t from = 0);
 
 }  // namespace bm::fabric

@@ -119,7 +119,8 @@ struct ServeReport {
 
   sim::Time finished_at = 0;
   bool drained = false;     ///< all admitted work resolved in time
-  bool flags_match = true;  ///< equivalence check (when requested)
+  bool equivalence_checked = false;  ///< the replay below ran
+  bool flags_match = true;  ///< equivalence verdict (when checked)
   std::string mismatch;     ///< first divergence, empty when none
 
   // Session layer (meaningful when sessions_enabled).

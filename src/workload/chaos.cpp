@@ -9,21 +9,6 @@
 
 namespace bm::workload {
 
-namespace {
-
-std::string hex_digest(const crypto::Digest& digest) {
-  static const char* kHex = "0123456789abcdef";
-  std::string out;
-  out.reserve(digest.size() * 2);
-  for (const std::uint8_t byte : digest) {
-    out.push_back(kHex[byte >> 4]);
-    out.push_back(kHex[byte & 0x0F]);
-  }
-  return out;
-}
-
-}  // namespace
-
 std::string ChaosReport::to_text() const {
   std::ostringstream out;
   out << "complete " << complete << "\n"
@@ -146,28 +131,21 @@ ChaosReport run_chaos_scenario(const ChaosOptions& options,
   // hash-identical over that prefix.
   const fabric::Ledger& reference = harness.reference_ledger();
   const std::uint64_t rejected = peer.host_metrics().blocks_rejected;
-  report.hashes_match =
-      peer.ledger().height() + rejected == reference.height();
-  if (!report.hashes_match)
+  if (peer.ledger().height() + rejected != reference.height())
     report.mismatch = "ledger height " + std::to_string(peer.ledger().height()) +
                       " + rejected " + std::to_string(rejected) +
                       " != reference " + std::to_string(reference.height());
-  for (std::uint64_t h = 0;
-       report.hashes_match && h < peer.ledger().height(); ++h) {
-    if (peer.ledger().at(h).commit_hash != reference.at(h).commit_hash) {
-      report.hashes_match = false;
-      report.mismatch =
-          "commit hash diverged at height " + std::to_string(h) + ": " +
-          hex_digest(peer.ledger().at(h).commit_hash) + " != " +
-          hex_digest(reference.at(h).commit_hash);
-    }
-  }
+  else
+    report.mismatch = fabric::chain_divergence(peer.ledger(), reference);
+  report.hashes_match = report.mismatch.empty();
+  // A rejected block never reaches the chain, so its verdict and flags are
+  // the one thing the oracle cannot see.
   report.flags_match = report.complete;
   for (const bmac::ResultEntry& result : peer.results()) {
+    if (result.block_valid) continue;
     const fabric::BlockValidationResult& want =
         harness.reference_result(result.block_num);
-    if (result.block_valid != want.block_valid ||
-        result.flags != want.flags) {
+    if (want.block_valid || result.flags != want.flags) {
       report.flags_match = false;
       if (report.mismatch.empty())
         report.mismatch =
@@ -227,21 +205,6 @@ void remove_durability_files(const fabric::DurabilityConfig& config) {
         name.compare(0, prefix.size(), prefix) == 0)
       std::filesystem::remove(entry.path(), ec);
   }
-}
-
-/// First height in [ledger.base_height(), ledger.height()) whose commit hash
-/// differs from the reference, or the ledger height when none does. Heights
-/// below a snapshot base are covered by the last_commit_hash check instead
-/// (the chain hash commits to the whole prefix).
-std::uint64_t first_hash_divergence(
-    const fabric::Ledger& ledger,
-    const std::vector<crypto::Digest>& reference) {
-  for (std::uint64_t h = ledger.base_height(); h < ledger.height(); ++h) {
-    if (h >= reference.size() ||
-        ledger.at(h).commit_hash != reference[h])
-      return h;
-  }
-  return ledger.height();
 }
 
 }  // namespace
@@ -327,7 +290,7 @@ CrashRecoveryReport run_crash_recovery(const CrashRecoveryOptions& options,
   // reopened store must seed its head from the surviving prefix, skip the
   // already-durable replay, re-append the torn-away block and then extend.
   std::uint64_t store_height = 0;
-  std::vector<crypto::Digest> reference;
+  fabric::Ledger reference;
   {
     FabricNetworkHarness harness(net);
     for (int i = 0; i < total; ++i) harness.next_block();
@@ -335,10 +298,7 @@ CrashRecoveryReport run_crash_recovery(const CrashRecoveryOptions& options,
     store_height = harness.durable()->store().height();
     if (registry != nullptr)
       harness.durable()->publish_metrics(*registry, "chaos_durable");
-    const fabric::Ledger& ref = harness.reference_ledger();
-    reference.reserve(ref.height());
-    for (std::uint64_t h = 0; h < ref.height(); ++h)
-      reference.push_back(ref.at(h).commit_hash);
+    reference = harness.reference_ledger();
   }
   report.resumed = store_height == static_cast<std::uint64_t>(total);
   if (!report.resumed && report.mismatch.empty())
@@ -346,16 +306,13 @@ CrashRecoveryReport run_crash_recovery(const CrashRecoveryOptions& options,
                       " after restart, want " + std::to_string(total);
 
   // --- the §4.1 oracle: byte-for-byte commit-hash equality ----------------
-  const std::uint64_t diverged =
-      first_hash_divergence(recovered_ledger, reference);
-  report.hashes_match =
-      report.recovered && diverged == recovered_ledger.height() &&
-      (recovered_ledger.height() == 0 ||
-       recovered_ledger.last_commit_hash() ==
-           reference[recovered_ledger.height() - 1]);
-  if (report.recovered && !report.hashes_match && report.mismatch.empty())
-    report.mismatch =
-        "recovered commit hash diverged at height " + std::to_string(diverged);
+  if (report.recovered) {
+    const std::string diverged =
+        fabric::chain_divergence(recovered_ledger, reference);
+    report.hashes_match = diverged.empty();
+    if (!report.hashes_match && report.mismatch.empty())
+      report.mismatch = "recovered chain: " + diverged;
+  }
 
   // --- 5. recover once more: the whole chain must reproduce --------------
   fabric::Ledger final_ledger;
@@ -364,18 +321,17 @@ CrashRecoveryReport run_crash_recovery(const CrashRecoveryOptions& options,
       fabric::DurableLedger::recover(options.durability, final_ledger,
                                      final_state);
   report.final_height = final_ledger.height();
-  const std::uint64_t final_diverged =
-      first_hash_divergence(final_ledger, reference);
-  report.final_chain_matches =
-      final_recovery.ok && final_ledger.height() == reference.size() &&
-      final_diverged == final_ledger.height() &&
-      !reference.empty() &&
-      final_ledger.last_commit_hash() == reference.back();
+  std::string final_diverged;
+  if (!final_recovery.ok)
+    final_diverged = "recovery failed: " + final_recovery.error;
+  else if (final_ledger.height() != reference.height())
+    final_diverged = "height " + std::to_string(final_ledger.height()) +
+                     ", want " + std::to_string(reference.height());
+  else
+    final_diverged = fabric::chain_divergence(final_ledger, reference);
+  report.final_chain_matches = final_diverged.empty();
   if (!report.final_chain_matches && report.mismatch.empty())
-    report.mismatch =
-        final_recovery.ok
-            ? "final chain diverged at height " + std::to_string(final_diverged)
-            : "final recovery failed: " + final_recovery.error;
+    report.mismatch = "final chain: " + final_diverged;
 
   if (registry != nullptr)
     fabric::DurableLedger::publish_recovery_metrics(*registry,

@@ -61,7 +61,7 @@ struct ChaosOptions {
 struct ChaosReport {
   bool complete = false;      ///< every block resolved within time_limit
   bool hashes_match = false;  ///< commit-hash chain == reference ledger
-  bool flags_match = false;   ///< per-tx flags == reference results
+  bool flags_match = false;   ///< rejected blocks' flags == reference
   std::string mismatch;       ///< first divergence, empty when none
 
   std::uint64_t blocks_produced = 0;

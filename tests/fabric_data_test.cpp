@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "crypto/der.hpp"
+#include "common/hex.hpp"
 #include "common/rng.hpp"
 #include "fabric/ledger.hpp"
 #include "fabric/orderer.hpp"
@@ -277,6 +278,112 @@ TEST(Ledger, IdenticalInputsGiveIdenticalCommitHashes) {
   make_chain(l1);
   make_chain(l2);
   EXPECT_EQ(l1.last().commit_hash, l2.last().commit_hash);
+}
+
+// --- chain_divergence: the §4.1 oracle --------------------------------------
+
+/// `n` ordered two-tx blocks, flags not yet filled in.
+std::vector<Block> sample_blocks(TestNet& net, int n) {
+  Orderer orderer(net.orderer_id, {.max_tx_per_block = 2});
+  std::vector<Block> blocks;
+  for (int i = 0; blocks.size() < static_cast<std::size_t>(n); ++i) {
+    auto block = orderer.submit(build_envelope(
+        sample_proposal(std::to_string(i)), net.client, {&net.peer1}));
+    if (block) blocks.push_back(std::move(*block));
+  }
+  return blocks;
+}
+
+/// The first `height` blocks committed with all-valid flags, except tx 1 of
+/// block `flip` (when given), flagged MVCC-conflicted instead.
+Ledger chain_of(const std::vector<Block>& blocks, std::size_t height,
+                std::optional<std::size_t> flip = std::nullopt) {
+  Ledger ledger;
+  for (std::size_t h = 0; h < height; ++h) {
+    Block block = blocks[h];
+    block.metadata.tx_flags = {0, 0};
+    if (flip == h) block.metadata.tx_flags[1] = 11;
+    ledger.append(std::move(block));
+  }
+  return ledger;
+}
+
+std::string hex_of(const crypto::Digest& digest) {
+  return hex_encode(crypto::digest_view(digest));
+}
+
+TEST(Ledger, ChainDivergenceEmptyForIdenticalChains) {
+  TestNet net;
+  const auto blocks = sample_blocks(net, 4);
+  EXPECT_EQ(chain_divergence(chain_of(blocks, 4), chain_of(blocks, 4)), "");
+  EXPECT_EQ(chain_divergence(Ledger{}, Ledger{}), "");
+}
+
+TEST(Ledger, ChainDivergenceNamesHeightTxAndBothHashes) {
+  TestNet net;
+  const auto blocks = sample_blocks(net, 4);
+  const Ledger reference = chain_of(blocks, 4);
+  const Ledger chain = chain_of(blocks, 4, 2);
+  const std::string diverged = chain_divergence(chain, reference);
+  EXPECT_NE(diverged.find("height 2: tx 1 flag 11 != reference 0"),
+            std::string::npos)
+      << diverged;
+  EXPECT_NE(diverged.find(hex_of(chain.at(2).commit_hash)), std::string::npos);
+  EXPECT_NE(diverged.find(hex_of(reference.at(2).commit_hash)),
+            std::string::npos);
+}
+
+TEST(Ledger, ChainDivergenceTallerChainDiverges) {
+  TestNet net;
+  const auto blocks = sample_blocks(net, 4);
+  EXPECT_NE(chain_divergence(chain_of(blocks, 4), chain_of(blocks, 3)), "");
+}
+
+TEST(Ledger, ChainDivergenceShorterChainIsAPrefix) {
+  TestNet net;
+  const auto blocks = sample_blocks(net, 4);
+  EXPECT_EQ(chain_divergence(chain_of(blocks, 2), chain_of(blocks, 4)), "");
+  EXPECT_EQ(chain_divergence(Ledger{}, chain_of(blocks, 4)), "");
+}
+
+TEST(Ledger, ChainDivergenceChecksTheSnapshotPrefixItDoesNotHold) {
+  TestNet net;
+  const auto blocks = sample_blocks(net, 4);
+  const Ledger reference = chain_of(blocks, 4);
+  const crypto::Digest header = blocks[1].block_hash();
+
+  Ledger honest;
+  honest.open_at(2, reference.at(1).commit_hash, header);
+  EXPECT_EQ(chain_divergence(honest, reference), "");
+
+  // Opened over a wrong prefix hash: no block below the base to compare,
+  // yet the tail hash still gives it away.
+  crypto::Digest wrong = reference.at(1).commit_hash;
+  wrong[0] ^= 0x01;
+  Ledger forged;
+  forged.open_at(2, wrong, header);
+  EXPECT_NE(chain_divergence(forged, reference), "");
+  Block next = blocks[2];
+  next.metadata.tx_flags = {0, 0};
+  forged.append(std::move(next));
+  EXPECT_NE(chain_divergence(forged, reference), "");
+}
+
+TEST(Ledger, ChainDivergenceFromSkipsLowerHeights) {
+  TestNet net;
+  const auto blocks = sample_blocks(net, 4);
+  const Ledger reference = chain_of(blocks, 4);
+  const Ledger chain = chain_of(blocks, 4, 1);
+  EXPECT_EQ(chain_divergence(chain, reference).rfind("height 1: tx 1", 0), 0u);
+  // From 2 the flipped block is skipped; the chain hash still carries it
+  // into block 2, whose flags agree.
+  EXPECT_EQ(chain_divergence(chain, reference, 2)
+                .rfind("height 2: same flags, different bytes", 0),
+            0u);
+  // Past the last held block only the tail hash is compared, and it still
+  // carries the flip.
+  EXPECT_NE(chain_divergence(chain, reference, 4), "");
+  EXPECT_EQ(chain_divergence(chain_of(blocks, 4), reference, 4), "");
 }
 
 }  // namespace

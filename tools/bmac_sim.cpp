@@ -294,16 +294,20 @@ int cmd_validate(const Options& options) {
     sim.run();
   }
 
-  bool match = sw_ledger.height() == peer.ledger().height();
-  for (std::uint64_t b = 0; match && b < sw_ledger.height(); ++b)
-    match = sw_ledger.at(b).commit_hash == peer.ledger().at(b).commit_hash;
+  const std::string divergence =
+      peer.ledger().height() != sw_ledger.height()
+          ? "bmac height " + std::to_string(peer.ledger().height()) +
+                " != software " + std::to_string(sw_ledger.height())
+          : fabric::chain_divergence(peer.ledger(), sw_ledger);
 
   std::printf("%d blocks, %d valid / %d invalid transactions\n",
               options.blocks, valid, invalid);
   std::printf("final commit hash: %s\n",
               hex_encode(crypto::digest_view(sw_ledger.last().commit_hash))
                   .c_str());
-  std::printf("hw/sw consistency: %s\n", match ? "PASS" : "FAIL");
+  std::printf("hw/sw consistency: %s\n",
+              divergence.empty() ? "PASS" : "FAIL");
+  if (!divergence.empty()) std::printf("divergence: %s\n", divergence.c_str());
   if (harness.durable() != nullptr) {
     harness.durable()->sync();
     const fabric::FileBlockStore& store = harness.durable()->store();
@@ -328,7 +332,7 @@ int cmd_validate(const Options& options) {
                                         sim.now());
     if (rc != 0) return rc;
   }
-  return match ? 0 : 1;
+  return divergence.empty() ? 0 : 1;
 }
 
 int cmd_protocol(const Options& options) {
